@@ -179,6 +179,55 @@ DLIS_BENCHMARK(BM_GemmBlockedScalar)
     ->Arg(512);
 
 /**
+ * Blocked GEMM at the (m, k, n) triples the paper models run on 32x32
+ * inputs at width 1.0: (cout, cin*kh*kw, hout*wout) for a conv, (out,
+ * in, 1) for the classifier. Square sizes never reach the skinny
+ * n <= 4 columns of the late layers, which is where a vector
+ * micro-kernel is weakest.
+ */
+void
+BM_GemmModelShape(benchmark::State &state)
+{
+    const size_t m = static_cast<size_t>(state.range(0));
+    const size_t k = static_cast<size_t>(state.range(1));
+    const size_t n = static_cast<size_t>(state.range(2));
+    Tensor a = randomTensor(Shape{m, k}, 18);
+    Tensor b = randomTensor(Shape{k, n}, 19);
+    Tensor c(Shape{m, n});
+    for (auto _ : state) {
+        kernels::gemmBlocked(a.data(), b.data(), c.data(), m, k, n,
+                             {1, true});
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * m * k * n));
+}
+
+/** Scalar-pinned twin of BM_GemmModelShape (see BM_GemmBlockedScalar). */
+void
+BM_GemmModelShapeScalar(benchmark::State &state)
+{
+    simd::ScopedForceIsa force(simd::SimdIsa::Scalar);
+    BM_GemmModelShape(state);
+}
+
+/** MobileNet pw1/pw6/pw7/pw13/fc, VGG-16 conv11, ResNet-18 layer4. */
+void
+gemmModelShapes(benchmark::internal::Benchmark *bm)
+{
+    bm->Args({64, 32, 256})
+        ->Args({512, 256, 4})
+        ->Args({512, 512, 4})
+        ->Args({1024, 1024, 1})
+        ->Args({10, 1024, 1})
+        ->Args({512, 4608, 4})
+        ->Args({512, 4608, 16});
+}
+DLIS_BENCHMARK(BM_GemmModelShape)->Apply(gemmModelShapes);
+DLIS_BENCHMARK(BM_GemmModelShapeScalar)->Apply(gemmModelShapes);
+
+/**
  * The GEMM library's fixed packing/padding work: tiny (CIFAR-shaped)
  * calls waste most of their time, large calls amortise it — the
  * crossover behind Fig 6 vs the ImageNet extension.

@@ -78,10 +78,8 @@ hasFlag(int argc, char **argv, const char *flag)
     return false;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runServe(int argc, char **argv)
 {
     StackConfig config;
     config.modelName = argValue(argc, argv, "--model", "mobilenet");
@@ -240,4 +238,22 @@ main(int argc, char **argv)
             std::printf("trace: FAILED to write %s\n", tracePath);
     }
     return 0;
+}
+
+} // namespace
+
+/**
+ * A configuration error (an unknown technique, format or backend, or
+ * any other FatalError) ends the run with its diagnostic on stderr
+ * and exit status 1, not with an uncaught-exception abort.
+ */
+int
+main(int argc, char **argv)
+{
+    try {
+        return runServe(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

@@ -44,8 +44,9 @@ spanMask(size_t span)
  * One MR-row panel of a C tile: dst[r][j] += sum_p a[r][p] * b[p][j]
  * over p in [p0, p1). Columns run eight at a time with one register
  * accumulator per row (MR <= 8 keeps all live values in ymm); the
- * column tail uses std::fma so every element is single-rounded no
- * matter which lane it landed in.
+ * 1..7 leftover columns run as one masked block, whose live lanes
+ * take the same fmadd chain as a full block and whose dead lanes
+ * neither load nor store.
  */
 template <int MR>
 void
@@ -53,39 +54,137 @@ gemmPanelAvx2(const float *a, size_t lda, const float *b, size_t ldb,
               float *dst, size_t ldc, size_t cols, size_t p0,
               size_t p1)
 {
-    size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
+    const auto block = [&](size_t j, auto load, auto store) {
         __m256 acc[MR];
         for (int r = 0; r < MR; ++r)
-            acc[r] = _mm256_loadu_ps(dst + r * ldc + j);
+            acc[r] = load(dst + r * ldc + j);
         for (size_t p = p0; p < p1; ++p) {
-            const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
+            const __m256 bv = load(b + p * ldb + j);
             for (int r = 0; r < MR; ++r)
                 acc[r] = _mm256_fmadd_ps(
                     _mm256_broadcast_ss(a + r * lda + p), bv, acc[r]);
         }
         for (int r = 0; r < MR; ++r)
-            _mm256_storeu_ps(dst + r * ldc + j, acc[r]);
-    }
-    for (; j < cols; ++j) {
-        for (int r = 0; r < MR; ++r) {
-            float acc = dst[r * ldc + j];
-            for (size_t p = p0; p < p1; ++p)
-                acc = std::fma(a[r * lda + p], b[p * ldb + j], acc);
-            dst[r * ldc + j] = acc;
-        }
+            store(dst + r * ldc + j, acc[r]);
+    };
+    size_t j = 0;
+    for (; j + 8 <= cols; j += 8)
+        block(
+            j, [](const float *src) { return _mm256_loadu_ps(src); },
+            [](float *out, __m256 v) { _mm256_storeu_ps(out, v); });
+    if (j < cols) {
+        const __m256i mask = spanMask(cols - j);
+        block(
+            j,
+            [mask](const float *src) {
+                return _mm256_maskload_ps(src, mask);
+            },
+            [mask](float *out, __m256 v) {
+                _mm256_maskstore_ps(out, mask, v);
+            });
     }
 }
 
+/**
+ * Eight rows of a C tile at most four columns wide (NC = cols), with
+ * the rows in the lanes: lane r of acc[c] is dst[r][c]. A column-lane
+ * panel would leave most lanes dead here. A is read as 8x8 blocks,
+ * row r and r+4 sharing one register as two 128-bit halves, so an
+ * in-lane 4x4 transpose yields a[0..7][p] for eight consecutive p;
+ * the k remainder gathers one p at a time. Each acc[c] takes one
+ * fmadd per p in ascending order: every element keeps the
+ * single-rounded chain of the column-lane panels. The chain does not
+ * depend on K blocking, so the panel sweeps all of k at once.
+ */
+template <int NC>
+void
+gemmSkinnyPanelAvx2(const float *a, size_t lda, const float *b,
+                    size_t ldb, float *dst, size_t ldc, size_t k)
+{
+    alignas(32) float lanes[8];
+    __m256 acc[NC];
+    for (int c = 0; c < NC; ++c) {
+        for (int r = 0; r < 8; ++r)
+            lanes[r] = dst[r * ldc + c];
+        acc[c] = _mm256_load_ps(lanes);
+    }
+    const auto fmaRow = [&](__m256 av, size_t p) {
+        for (int c = 0; c < NC; ++c)
+            acc[c] = _mm256_fmadd_ps(
+                av, _mm256_broadcast_ss(b + p * ldb + c), acc[c]);
+    };
+    size_t p = 0;
+    for (; p + 8 <= k; p += 8) {
+        for (size_t h = 0; h < 8; h += 4) {
+            __m256 v[4];
+            for (int r = 0; r < 4; ++r)
+                v[r] = _mm256_insertf128_ps(
+                    _mm256_castps128_ps256(
+                        _mm_loadu_ps(a + r * lda + p + h)),
+                    _mm_loadu_ps(a + (r + 4) * lda + p + h), 1);
+            const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+            const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+            const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+            const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+            fmaRow(_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+                   p + h);
+            fmaRow(_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+                   p + h + 1);
+            fmaRow(_mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+                   p + h + 2);
+            fmaRow(_mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2)),
+                   p + h + 3);
+        }
+    }
+    for (; p < k; ++p) {
+        for (int r = 0; r < 8; ++r)
+            lanes[r] = a[r * lda + p];
+        fmaRow(_mm256_load_ps(lanes), p);
+    }
+    for (int c = 0; c < NC; ++c) {
+        _mm256_store_ps(lanes, acc[c]);
+        for (int r = 0; r < 8; ++r)
+            dst[r * ldc + c] = lanes[r];
+    }
+}
+
+/**
+ * A tile at most four columns wide runs its 8-row groups on the
+ * skinny row-lane panel; any other tile, and the last rows % 8 rows
+ * of a skinny one, run column-lane panels per K block.
+ */
 void
 gemmTileAvx2(const float *a, size_t lda, const float *b, size_t ldb,
              float *dst, size_t ldc, size_t rows, size_t cols,
              size_t k, size_t tileK)
 {
+    size_t i0 = 0;
+    if (cols <= 4) {
+        for (; i0 + 8 <= rows; i0 += 8) {
+            const float *ar = a + i0 * lda;
+            float *dr = dst + i0 * ldc;
+            switch (cols) {
+            case 4:
+                gemmSkinnyPanelAvx2<4>(ar, lda, b, ldb, dr, ldc, k);
+                break;
+            case 3:
+                gemmSkinnyPanelAvx2<3>(ar, lda, b, ldb, dr, ldc, k);
+                break;
+            case 2:
+                gemmSkinnyPanelAvx2<2>(ar, lda, b, ldb, dr, ldc, k);
+                break;
+            case 1:
+                gemmSkinnyPanelAvx2<1>(ar, lda, b, ldb, dr, ldc, k);
+                break;
+            default:
+                break;
+            }
+        }
+    }
     const size_t tk = tileK ? tileK : (k ? k : 1);
     for (size_t p0 = 0; p0 < k; p0 += tk) {
         const size_t p1 = std::min(p0 + tk, k);
-        size_t i = 0;
+        size_t i = i0;
         for (; i + 8 <= rows; i += 8)
             gemmPanelAvx2<8>(a + i * lda, lda, b, ldb, dst + i * ldc,
                              ldc, cols, p0, p1);

@@ -203,6 +203,88 @@ TEST(SimdGemm, MisalignedBuffersMatchScalar)
 }
 
 /**
+ * Per-element reference of the vector GEMM tiles: acc starts at 0 and
+ * takes one single-rounded std::fma per p, in ascending p order.
+ */
+std::vector<float>
+gemmFmaChain(const float *a, const float *b, size_t m, size_t k,
+             size_t n)
+{
+    std::vector<float> c(m * n);
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (size_t p = 0; p < k; ++p)
+                acc = std::fma(a[i * k + p], b[p * n + j], acc);
+            c[i * n + j] = acc;
+        }
+    }
+    return c;
+}
+
+/**
+ * gemmBlocked under the active table equals its exact reference at
+ * tolerance 0: the per-element std::fma chain for a vector ISA (every
+ * lane, tail and panel shape rounds like that chain), gemmNaive for
+ * the scalar table. Shapes straddle the 8-row and 8-column register
+ * tiles, the k remainder of the 8x8 A blocks, and the skinny
+ * (n <= 4) columns of MobileNet's, VGG-16's and ResNet-18's own
+ * layers, with default tiles, an odd tiling, threads and mis-aligned
+ * pointers.
+ */
+TEST(SimdGemm, MatchesFmaChainExactly)
+{
+    const bool vector =
+        simd::activeKernels().isa != simd::SimdIsa::Scalar;
+    uint64_t seed = 12000;
+    const auto check = [&](size_t m, size_t k, size_t n, size_t offset,
+                           int threads, size_t tileM, size_t tileN,
+                           size_t tileK) {
+        const std::string what =
+            "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+            " n=" + std::to_string(n) + " offset=" +
+            std::to_string(offset) + " threads=" +
+            std::to_string(threads) + " tileK=" + std::to_string(tileK);
+        const auto a = randomVec(m * k + offset, seed++);
+        const auto b = randomVec(k * n + offset, seed++);
+        const float *ap = a.data() + offset;
+        const float *bp = b.data() + offset;
+        std::vector<float> ref(m * n);
+        if (vector)
+            ref = gemmFmaChain(ap, bp, m, k, n);
+        else
+            kernels::gemmNaive(ap, bp, ref.data(), m, k, n);
+        std::vector<float> got(m * n + offset);
+        kernels::gemmBlocked(ap, bp, got.data() + offset, m, k, n,
+                             {threads, true}, tileM, tileN, tileK);
+        for (size_t i = 0; i < m * n; ++i)
+            ASSERT_EQ(ref[i], got[offset + i]) << what << " i=" << i;
+    };
+
+    for (size_t m : {1, 7, 8, 9, 17, 512})
+        for (size_t k : {1, 7, 8, 9, 63, 64, 65, 130, 512})
+            for (size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 68, 71})
+                check(m, k, n, 0, 1, 0, 0, 0);
+
+    // (m, k, n) of the models' GEMMs at 32x32 input: MobileNet pw1,
+    // pw6, pw7, pw13 and fc; VGG-16 conv11; ResNet-18 layer4 3x3.
+    const size_t models[][3] = {
+        {64, 32, 256},    {512, 256, 4},  {512, 512, 4},
+        {1024, 1024, 1},  {10, 1024, 1},  {512, 4608, 4},
+        {512, 4608, 16}};
+    for (const auto &s : models) {
+        check(s[0], s[1], s[2], 0, 1, 0, 0, 0);
+        check(s[0], s[1], s[2], 0, 3, 0, 0, 0);
+        check(s[0], s[1], s[2], 0, 1, 24, 12, 7);
+    }
+
+    // Pointers off the arena's 64-byte grain, on skinny and wide
+    // column tails alike.
+    for (size_t n : {1, 3, 4, 5, 7, 53})
+        check(37, 29, n, 1, 1, 0, 0, 0);
+}
+
+/**
  * Regression test for the gemmNaive zero-skip: skipping `av == 0`
  * products also skipped 0 * Inf and 0 * NaN, silently laundering
  * non-finite inputs into finite outputs. Every GEMM variant must
