@@ -526,10 +526,8 @@ runPlan(int argc, char **argv, InferenceStack &stack,
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runStack(int argc, char **argv)
 {
     const std::string model = argValue(argc, argv, "--model", "vgg16");
     const std::string technique =
@@ -687,4 +685,22 @@ main(int argc, char **argv)
     if (ctx.metrics)
         printRunReport(run);
     return 0;
+}
+
+} // namespace
+
+/**
+ * A configuration error (an unknown model, a backend the platform
+ * lacks, or any other FatalError) ends the run with its diagnostic on
+ * stderr and exit status 1, not with an uncaught-exception abort.
+ */
+int
+main(int argc, char **argv)
+{
+    try {
+        return runStack(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

@@ -2,242 +2,7 @@
 
 #include <algorithm>
 
-#include "backend/gemm.hpp"
-#include "backend/gemmlib/tuned_gemm.hpp"
-#include "core/scratch_arena.hpp"
-#include "nn/models/model.hpp"
-#include "nn/pooling.hpp"
-#include "nn/residual_block.hpp"
-
 namespace dlis::analysis {
-
-namespace {
-
-size_t
-bytesOf(const Shape &s)
-{
-    return s.numel() * sizeof(float);
-}
-
-size_t
-roundUp(size_t v, size_t to)
-{
-    return (v + to - 1) / to * to;
-}
-
-/**
- * Thread count gemmBlocked's per-thread C tiles are sized for, given
- * the context's backend and thread setting (ExecContext::policy gives
- * non-OpenMP backends a serial kernel policy).
- */
-size_t
-effectiveThreads(Backend backend, int threads)
-{
-    return backend == Backend::OpenMP && threads > 1
-               ? static_cast<size_t>(threads)
-               : size_t{1};
-}
-
-/**
- * Arena bytes one gemmBlocked call bump-allocates: per-thread C tiles,
- * carved out as a single block before the parallel region. Mirrors
- * the kernel's carve rule exactly: the team is clamped to the tile
- * count of the [m, n] problem, and a single-tile or single-threaded
- * call accumulates directly into C and carves nothing.
- */
-size_t
-gemmTileDemand(size_t m, size_t n, size_t tileM, size_t tileN,
-               size_t threads)
-{
-    const size_t rowTiles = (m + tileM - 1) / tileM;
-    const size_t colTiles = (n + tileN - 1) / tileN;
-    const size_t teams = std::min(threads, rowTiles * colTiles);
-    if (teams <= 1)
-        return 0;
-    return ScratchArena::alignUp(teams * tileM * tileN *
-                                 sizeof(float));
-}
-
-/**
- * Arena bytes one GemmLibrary::gemm call allocates on top of its
- * caller: three tile-padded packing buffers plus the nested
- * gemmBlocked's C tiles. Assumes the default TuneConfig (the estimate
- * has no runtime library handle; an autotuned config shifts the
- * padding and the prediction with it).
- */
-size_t
-gemmLibDemand(size_t m, size_t k, size_t n, size_t threads)
-{
-    const gemmlib::TuneConfig cfg;
-    const size_t mp = roundUp(m, cfg.mwg);
-    const size_t np = roundUp(n, cfg.nwg);
-    const size_t kp = roundUp(k, cfg.kwg);
-    return ScratchArena::alignUp(mp * kp * sizeof(float)) +
-           ScratchArena::alignUp(kp * np * sizeof(float)) +
-           ScratchArena::alignUp(mp * np * sizeof(float)) +
-           gemmTileDemand(mp, np, cfg.mwg, cfg.nwg, threads);
-}
-
-/** Activation + scratch bytes a Conv2d::forward allocates beyond its
- *  input. Mirrors the dispatch in Conv2d::forward: the output tensor
- *  is always constructed up front, so the im2col and simulated-OpenCL
- *  paths pay for it *plus* their own result tensor. Scratch is the
- *  layer's total scratch-arena demand — the sum of the aligned block
- *  sizes its kernels bump-allocate within one scope (im2col columns,
- *  GEMM C tiles, library packing buffers, Winograd filter
- *  transforms); the arena's grow-only capacity, and therefore the
- *  tracker's Scratch class, peaks at the largest layer demand. */
-struct Transient
-{
-    size_t act = 0;
-    size_t scratch = 0;
-};
-
-Transient
-convTransient(const Conv2d &conv, const Shape &in, Backend backend,
-              ConvAlgo algo, int threads)
-{
-    const size_t out = bytesOf(conv.outputShape(in));
-    const size_t m = conv.cout();
-    const size_t k = conv.cin() * conv.kernel() * conv.kernel();
-    const size_t n = conv.outputShape(in).h() *
-                     conv.outputShape(in).w();
-    const size_t cols = ScratchArena::alignUp(k * n * sizeof(float));
-    const size_t eff = effectiveThreads(backend, threads);
-
-    if (backend == Backend::OclHandTuned)
-        return {2 * out, 0}; // direct simulated kernel, no workspace
-    if (backend == Backend::OclGemmLib)
-        return {2 * out, cols + gemmLibDemand(m, k, n, eff)};
-    if (conv.format() != WeightFormat::Dense)
-        return {out, 0}; // sparse/packed kernels run direct, in place
-    if (algo == ConvAlgo::Im2colGemm)
-        return {2 * out, cols + gemmTileDemand(m, n,
-                                               kernels::kGemmTileM,
-                                               kernels::kGemmTileN,
-                                               eff)};
-    if (algo == ConvAlgo::Winograd && conv.kernel() == 3 &&
-        conv.stride() == 1)
-        return {out, ScratchArena::alignUp(conv.cout() * conv.cin() *
-                                           16 * sizeof(float))};
-    return {out, 0}; // direct writes the outer tensor, no workspace
-}
-
-/** Arena demand of a Linear forward (only the GEMM-library routing
- *  uses scratch: transpose staging for batched inputs plus the
- *  library call itself). */
-size_t
-linearScratch(const Linear &fc, size_t batch, Backend backend,
-              int threads)
-{
-    if (backend != Backend::OclGemmLib ||
-        fc.format() != WeightFormat::Dense)
-        return 0;
-    const size_t eff = effectiveThreads(backend, threads);
-    size_t staging = 0;
-    if (batch > 1) {
-        staging = ScratchArena::alignUp(fc.inFeatures() * batch *
-                                        sizeof(float)) +
-                  ScratchArena::alignUp(fc.outFeatures() * batch *
-                                        sizeof(float));
-    }
-    return staging + gemmLibDemand(fc.outFeatures(), fc.inFeatures(),
-                                   batch, eff);
-}
-
-/** Transients of a residual block's forward, relative to its input.
- *  The block keeps its layer cursor, the skip tensor (a copy of the
- *  input when there is no projection), and the stage output alive at
- *  once — the in-place add is the high-water point. */
-Transient
-residualTransient(const ResidualBlock &block, const Shape &in,
-                  Backend backend, ConvAlgo algo, int threads)
-{
-    const Transient t1 =
-        convTransient(block.conv1(), in, backend, algo, threads);
-    const Shape s1 = block.conv1().outputShape(in);
-    const size_t b1 = bytesOf(s1);
-    const Transient t2 =
-        convTransient(block.conv2(), s1, backend, algo, threads);
-    const Shape s2 = block.conv2().outputShape(s1);
-    const size_t b2 = bytesOf(s2);
-
-    size_t act = std::max({t1.act, 2 * b1, b1 + t2.act, 2 * b2});
-    size_t scratch = std::max(t1.scratch, t2.scratch);
-    if (const Conv2d *proj = block.projection()) {
-        const Transient tp =
-            convTransient(*proj, in, backend, algo, threads);
-        const size_t bp = bytesOf(proj->outputShape(in));
-        act = std::max({act, b2 + tp.act, b2 + 2 * bp, 2 * b2 + bp});
-        scratch = std::max(scratch, tp.scratch);
-    } else {
-        // skip = input copy, then the relu2 copy of the summed main.
-        act = std::max({act, b2 + bytesOf(in), 2 * b2 + bytesOf(in)});
-    }
-    return {act, scratch};
-}
-
-/** Parameter bytes of one layer, split into Weights and SparseMeta
- *  tracker classes exactly as the runtime registers them. */
-void
-accumulateParams(const Layer &layer, MemoryEstimate &est)
-{
-    if (const auto *conv = dynamic_cast<const Conv2d *>(&layer)) {
-        est.weights += conv->weight().bytes() + conv->bias().bytes();
-        if (conv->format() == WeightFormat::Csr) {
-            est.weights += conv->csrWeight().nnz() * sizeof(float);
-            est.sparseMeta += conv->csrWeight().metadataBytes();
-        } else if (conv->format() == WeightFormat::PackedTernary) {
-            est.weights += conv->packedWeight().storageBytes();
-        }
-    } else if (const auto *dw =
-                   dynamic_cast<const DepthwiseConv2d *>(&layer)) {
-        est.weights += dw->weight().bytes();
-        if (dw->hasBias())
-            est.weights += dw->channels() * sizeof(float);
-    } else if (const auto *bn =
-                   dynamic_cast<const BatchNorm2d *>(&layer)) {
-        // gamma, beta, runningMean, runningVar.
-        est.weights += 4 * bn->channels() * sizeof(float);
-    } else if (const auto *fc = dynamic_cast<const Linear *>(&layer)) {
-        est.weights +=
-            fc->weight().bytes() + fc->outFeatures() * sizeof(float);
-        if (fc->format() == WeightFormat::Csr) {
-            est.weights += fc->csrWeight().nnz() * sizeof(float);
-            est.sparseMeta += fc->csrWeight().metadataBytes();
-        }
-    } else if (const auto *block =
-                   dynamic_cast<const ResidualBlock *>(&layer)) {
-        accumulateParams(block->conv1(), est);
-        accumulateParams(block->bn1(), est);
-        accumulateParams(block->conv2(), est);
-        accumulateParams(block->bn2(), est);
-        if (block->projection()) {
-            accumulateParams(*block->projection(), est);
-            accumulateParams(*block->projectionBn(), est);
-        }
-    }
-}
-
-/** Per-layer transient/scratch terms under one configuration — the
- *  shared pricing core of layerForwardMemory and the whole-network
- *  estimators. */
-Transient
-layerTransient(const Layer &layer, const Shape &in, Backend backend,
-               ConvAlgo algo, int threads)
-{
-    Transient t{bytesOf(layer.outputShape(in)), 0};
-    if (const auto *conv = dynamic_cast<const Conv2d *>(&layer))
-        t = convTransient(*conv, in, backend, algo, threads);
-    else if (const auto *block =
-                 dynamic_cast<const ResidualBlock *>(&layer))
-        t = residualTransient(*block, in, backend, algo, threads);
-    else if (const auto *fc = dynamic_cast<const Linear *>(&layer))
-        t.scratch = linearScratch(*fc, in[0], backend, threads);
-    return t;
-}
-
-} // namespace
 
 MemoryEstimate
 memoryEstimateForPlan(
@@ -246,7 +11,7 @@ memoryEstimateForPlan(
     Backend defaultBackend, ConvAlgo defaultAlgo, int defaultThreads)
 {
     MemoryEstimate est;
-    const size_t inputBytes = bytesOf(input);
+    const size_t inputBytes = input.numel() * sizeof(float);
 
     // The measurement harness holds the input tensor for the whole
     // forward, and Network::forward's layer cursor starts as a copy of
@@ -256,38 +21,26 @@ memoryEstimateForPlan(
     Shape cur = input;
     for (const auto &layerPtr : net.layers()) {
         const Layer &layer = *layerPtr;
-        accumulateParams(layer, est);
+        const ParamBytes params = layer.paramBytes();
+        est.weights += params.weights;
+        est.sparseMeta += params.sparseMeta;
 
-        // Resolve the layer's effective configuration the same way
+        // Resolve the layer's configuration the way
         // Network::forwardLayer does: an override named after the
-        // top-level layer wins (a residual block switches as a unit),
-        // everything else runs under the defaults.
-        Backend backend = defaultBackend;
-        ConvAlgo algo = defaultAlgo;
-        int threads = defaultThreads;
-        const auto it = overrides.find(layer.name());
-        if (it != overrides.end()) {
-            backend = it->second.backend;
-            algo = it->second.convAlgo;
-            threads = it->second.threads;
-        }
+        // top-level layer wins, everything else runs the defaults.
+        LayerExecOverride exec{defaultBackend, defaultAlgo,
+                               defaultThreads};
+        if (const auto it = overrides.find(layer.name());
+            it != overrides.end())
+            exec = it->second;
 
-        const Shape out = layer.outputShape(cur);
-        const Transient t =
-            layerTransient(layer, cur, backend, algo, threads);
-
-        LayerMemory lm;
-        lm.name = layer.name();
-        lm.inputBytes = bytesOf(cur);
-        lm.outputBytes = bytesOf(out);
-        lm.transientBytes = t.act;
-        lm.scratchBytes = t.scratch;
-        est.perLayer.push_back(lm);
-
+        LayerMemory lm = layerForwardMemory(layer, cur, exec.backend,
+                                            exec.convAlgo, exec.threads);
         peakBeyondInput =
-            std::max(peakBeyondInput, lm.inputBytes + t.act);
-        est.scratchPeak = std::max(est.scratchPeak, t.scratch);
-        cur = out;
+            std::max(peakBeyondInput, lm.inputBytes + lm.transientBytes);
+        est.scratchPeak = std::max(est.scratchPeak, lm.scratchBytes);
+        est.perLayer.push_back(std::move(lm));
+        cur = layer.outputShape(cur);
     }
 
     est.activationsPeak = inputBytes + peakBeyondInput;
@@ -307,14 +60,14 @@ LayerMemory
 layerForwardMemory(const Layer &layer, const Shape &input,
                    Backend backend, ConvAlgo algo, int threads)
 {
-    const Transient t =
-        layerTransient(layer, input, backend, algo, threads);
+    const ForwardBytes fb =
+        layer.forwardBytes(input, {backend, algo, threads});
     LayerMemory lm;
     lm.name = layer.name();
-    lm.inputBytes = bytesOf(input);
-    lm.outputBytes = bytesOf(layer.outputShape(input));
-    lm.transientBytes = t.act;
-    lm.scratchBytes = t.scratch;
+    lm.inputBytes = input.numel() * sizeof(float);
+    lm.outputBytes = layer.outputShape(input).numel() * sizeof(float);
+    lm.transientBytes = fb.activations;
+    lm.scratchBytes = fb.scratch;
     return lm;
 }
 

@@ -8,15 +8,18 @@
  * planning needs them *before* the first forward runs on a
  * memory-constrained target.
  *
- * The model mirrors the runtime's allocation lifetimes precisely:
- * the measurement harness holds the input tensor for the whole
- * forward, Network::forward copies it into its layer cursor, and each
- * layer's forward allocates its output (plus per-layer transients —
- * the ReLU copy, the BatchNorm output, the im2col column buffer, the
- * residual block's skip copy) while its input is still live. For the
- * serial dense direct configuration the estimate matches the tracker's
- * observed peak byte-for-byte (tests/test_analysis.cpp pins this on
- * all three paper models).
+ * The estimate is a walk over the network; it computes no byte count
+ * itself. Each layer prices its own parameters (Layer::paramBytes)
+ * and the activations and scratch its forward allocates
+ * (Layer::forwardBytes), along the same dispatch its forward takes,
+ * and every kernel that carves the scratch arena exports the function
+ * its carve is sized by. The walk adds the lifetimes around the
+ * layers: the measurement harness holds the input tensor for the
+ * whole forward and Network::forward copies it into its layer cursor,
+ * each layer allocates while its input is live, and the arena's
+ * capacity settles at the largest per-layer demand. The estimate
+ * matches the tracker's observed peak byte-for-byte
+ * (tests/test_analysis.cpp pins this on all three paper models).
  */
 
 #ifndef DLIS_ANALYSIS_MEMORY_ESTIMATE_HPP
@@ -35,20 +38,10 @@ namespace dlis::analysis {
 struct LayerMemory
 {
     std::string name;
-    size_t inputBytes = 0;  //!< live activation input to the layer
-    size_t outputBytes = 0; //!< activation the layer hands onward
-    /**
-     * Peak activation bytes *allocated by this layer's forward* while
-     * its input is live (includes the output; excludes the input).
-     */
-    size_t transientBytes = 0;
-    /**
-     * The layer's scratch-arena demand: the sum of the aligned blocks
-     * its kernels bump-allocate within one arena scope (im2col
-     * columns, per-thread GEMM C tiles, library packing buffers,
-     * Winograd filter transforms).
-     */
-    size_t scratchBytes = 0;
+    size_t inputBytes = 0;     //!< live activation input to the layer
+    size_t outputBytes = 0;    //!< activation the layer hands onward
+    size_t transientBytes = 0; //!< ForwardBytes::activations
+    size_t scratchBytes = 0;   //!< ForwardBytes::scratch
 };
 
 /** Static memory high-water decomposition, in MemoryTracker classes. */
@@ -57,12 +50,8 @@ struct MemoryEstimate
     size_t weights = 0;         //!< parameter payload (MemClass::Weights)
     size_t sparseMeta = 0;      //!< CSR/ternary metadata (SparseMeta)
     size_t activationsPeak = 0; //!< peak live activation bytes
-    /**
-     * Peak scratch bytes — the capacity the context's grow-only
-     * ScratchArena settles at, i.e. the largest per-layer arena
-     * demand. This is also the steady-state scratch footprint: the
-     * arena keeps its capacity across forwards.
-     */
+    /** Largest per-layer arena demand: the capacity the grow-only
+     *  ScratchArena settles at and keeps across forwards. */
     size_t scratchPeak = 0;
     std::vector<LayerMemory> perLayer;
 
@@ -76,15 +65,10 @@ struct MemoryEstimate
 
 /**
  * Estimate the tracker-observed peak of one inference of @p net on
- * @p input under the given backend, convolution algorithm, and thread
- * count (@p threads sizes the per-thread GEMM C tiles the OpenMP
- * backend draws from the scratch arena; other backends run the GEMM
- * serially). The GEMM-library paths assume the default
- * gemmlib::TuneConfig — an autotuned configuration changes the
- * padding, and the prediction with it. Inference mode only (training
- * caches are not modelled). Shapes must be consistent — run the
- * verifier first; this throws FatalError on a malformed network just
- * like the runtime would.
+ * @p input with every layer at one {backend, algorithm, threads}
+ * point. Inference mode only (training caches are not modelled).
+ * Shapes must be consistent — run the verifier first; this throws
+ * FatalError on a malformed network just like the runtime would.
  */
 MemoryEstimate estimateForwardMemory(const Network &net,
                                      const Shape &input,
@@ -93,18 +77,14 @@ MemoryEstimate estimateForwardMemory(const Network &net,
                                      int threads = 1);
 
 /**
- * Plan-aware variant: estimate the tracker-observed peak when the
- * forward executes under @p overrides, i.e. exactly what
- * Network::forwardLayer does when ExecContext::layerOverrides is set —
- * a layer named in the map runs under its override's backend /
- * convolution algorithm / thread count (residual blocks as one unit),
- * every other layer under the defaults. Because the context's
- * ScratchArena grows exactly and never returns retired capacity, the
- * Scratch high-water of a mixed assignment is the *largest* per-layer
- * demand under that layer's own configuration, and the Activations
- * high-water composes per layer the same way — both are reproduced
- * byte-exactly here (pinned against MemoryTracker in
- * tests/test_analysis.cpp for mixed plans on the paper models).
+ * Plan-aware variant: the peak when the forward runs under
+ * @p overrides exactly as Network::forwardLayer applies
+ * ExecContext::layerOverrides — a top-level layer named in the map
+ * runs at its override's point, every other layer at the defaults.
+ * The grow-only arena settles at the largest per-layer scratch demand
+ * and the activation high-water composes per layer, so a mixed plan
+ * stays byte-exact (pinned against MemoryTracker in
+ * tests/test_analysis.cpp).
  */
 MemoryEstimate memoryEstimateForPlan(
     const Network &net, const Shape &input,
@@ -113,11 +93,10 @@ MemoryEstimate memoryEstimateForPlan(
     ConvAlgo defaultAlgo = ConvAlgo::Direct, int defaultThreads = 1);
 
 /**
- * One layer's memory contribution under one concrete configuration:
- * the building block the memory-budgeted planner prices candidates
- * with. @p input is the activation shape entering the layer. The
- * returned transient/scratch figures are the same per-layer terms the
- * whole-network estimators above take their maxima over.
+ * One layer's memory contribution at one configuration, with @p input
+ * the shape entering the layer: the per-layer term the estimators
+ * above take their maxima over, and what the memory-budgeted planner
+ * prices candidates with.
  */
 LayerMemory layerForwardMemory(const Layer &layer, const Shape &input,
                                Backend backend, ConvAlgo algo,

@@ -64,8 +64,10 @@ directDelta(double K, double A)
 double
 im2colDelta(double K, double A)
 {
-    // Tiled GEMM composes ceil(K / kGemmTileK) partial sums.
-    const double tiles = std::ceil(K / double(kernels::kGemmTileK));
+    // Tiled GEMM composes ceil(K / kGemmTileK) partial sums (an error
+    // term, not a byte count).
+    const double tiles = std::ceil(
+        K / double(kernels::kGemmTileK)); // dlis-lint: allow(kernel-pricing)
     return u * (K + tiles + 2.0) * A;
 }
 

@@ -32,6 +32,36 @@ gemmNaive(const float *a, const float *b, float *c, size_t m, size_t k,
     }
 }
 
+namespace {
+
+/** Workers a gemmBlocked call runs with: its threads (one without
+ *  OpenMP), clamped to the number of output tiles. */
+size_t
+gemmTeams(size_t tiles, int threads)
+{
+#if DLIS_HAVE_OPENMP
+    return std::min(tiles, static_cast<size_t>(std::max(threads, 1)));
+#else
+    (void)threads;
+    return std::min<size_t>(tiles, 1);
+#endif
+}
+
+} // namespace
+
+size_t
+gemmBlockedScratchBytes(size_t m, size_t n, int threads, size_t tileM,
+                        size_t tileN)
+{
+    const size_t tm = tileM ? tileM : kGemmTileM;
+    const size_t tn = tileN ? tileN : kGemmTileN;
+    const size_t tiles = ((m + tm - 1) / tm) * ((n + tn - 1) / tn);
+    const size_t teams = gemmTeams(tiles, threads);
+    return teams > 1
+               ? ScratchArena::alignUp(teams * tm * tn * sizeof(float))
+               : 0;
+}
+
 void
 gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
             size_t n, const KernelPolicy &policy, size_t tileM,
@@ -46,30 +76,23 @@ gemmBlocked(const float *a, const float *b, float *c, size_t m, size_t k,
     if (policy.counters.gemmMacs)
         policy.counters.gemmMacs->add(static_cast<uint64_t>(m) * k * n);
 
-#if DLIS_HAVE_OPENMP
-    const size_t nthreads =
-        policy.threads > 1 ? static_cast<size_t>(policy.threads) : 1;
-#else
-    const size_t nthreads = 1;
-#endif
-
-    const size_t rowTiles = (m + tm - 1) / tm;
     const size_t colTiles = (n + tn - 1) / tn;
-    const size_t tiles = rowTiles * colTiles;
+    const size_t tiles = ((m + tm - 1) / tm) * colTiles;
 
     // Per-thread C tiles come from the context's arena (or a
     // call-local one for standalone calls), carved out before the
     // parallel region: the arena is single-consumer. Only a parallel
     // run needs them — the team is clamped to the tile count, and a
     // single-threaded or single-tile call (every small serving-path
-    // GEMM) accumulates directly into C and carves nothing, which is
-    // mirrored byte-for-byte by analysis/memory_estimate.
-    const size_t teams = std::min(nthreads, tiles);
+    // GEMM) accumulates directly into C and carves nothing.
+    const size_t teams = gemmTeams(tiles, policy.threads);
     ScratchArena localArena;
     ScratchArena &ar = policy.arena ? *policy.arena : localArena;
     ScratchArena::Scope scope(ar, policy.counters);
+    const size_t tileBytes =
+        gemmBlockedScratchBytes(m, n, policy.threads, tm, tn);
     float *ctiles =
-        teams > 1 ? ar.allocFloats(teams * tm * tn) : nullptr;
+        tileBytes ? static_cast<float *>(ar.alloc(tileBytes)) : nullptr;
 
     const simd::MicroKernels &mk = simd::activeKernels();
 

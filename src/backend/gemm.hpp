@@ -18,9 +18,9 @@ namespace dlis::kernels {
 
 /**
  * @name Default GEMM blocking factors.
- * Exported so the static memory estimate (analysis/memory_estimate)
- * can mirror the per-thread C-tile workspace gemmBlocked draws from
- * the scratch arena. They match gemmlib::TuneConfig's defaults.
+ * gemmBlocked's tile shape when a caller passes 0. They match
+ * gemmlib::TuneConfig's defaults; the error-bound pass reads
+ * kGemmTileK for the number of K-tile partial sums.
  */
 /** @{ */
 inline constexpr size_t kGemmTileM = 32;
@@ -59,6 +59,14 @@ void gemmNaive(const float *a, const float *b, float *c, size_t m,
 void gemmBlocked(const float *a, const float *b, float *c, size_t m,
                  size_t k, size_t n, const KernelPolicy &policy,
                  size_t tileM = 0, size_t tileN = 0, size_t tileK = 0);
+
+/**
+ * Arena bytes gemmBlocked carves for these arguments: the per-thread
+ * C-tile block of a parallel run, 0 when the team is one worker. The
+ * kernel sizes its carve with it; memory estimates price it with it.
+ */
+size_t gemmBlockedScratchBytes(size_t m, size_t n, int threads,
+                               size_t tileM = 0, size_t tileN = 0);
 
 /** C = A^T * B where A is row-major [k, m]; used by conv backward. */
 void gemmAtB(const float *a, const float *b, float *c, size_t m,

@@ -38,6 +38,20 @@ roundUp(size_t v, size_t to)
 
 } // namespace
 
+size_t
+GemmLibrary::scratchBytes(size_t m, size_t k, size_t n, int threads,
+                          const TuneConfig &config)
+{
+    const size_t mp = roundUp(m, config.mwg);
+    const size_t np = roundUp(n, config.nwg);
+    const size_t kp = roundUp(k, config.kwg);
+    return ScratchArena::alignUp(mp * kp * sizeof(float)) +
+           ScratchArena::alignUp(kp * np * sizeof(float)) +
+           ScratchArena::alignUp(mp * np * sizeof(float)) +
+           kernels::gemmBlockedScratchBytes(mp, np, threads, config.mwg,
+                                            config.nwg);
+}
+
 void
 GemmLibrary::gemm(const float *a, const float *b, float *c, size_t m,
                   size_t k, size_t n, const KernelPolicy &policy)
@@ -54,11 +68,9 @@ GemmLibrary::gemm(const float *a, const float *b, float *c, size_t m,
     ScratchArena localArena;
     ScratchArena &ar = policy.arena ? *policy.arena : localArena;
     ScratchArena::Scope scope(ar, policy.counters);
-    // One growth step for all three buffers, so a warming arena copies
-    // its live prefix at most once per call.
-    ar.reserve(ScratchArena::alignUp(mp * kp * sizeof(float)) +
-               ScratchArena::alignUp(kp * np * sizeof(float)) +
-               ScratchArena::alignUp(mp * np * sizeof(float)));
+    // One growth step for the packing buffers and the nested GEMM's
+    // C tiles, so a warming arena copies its live prefix at most once.
+    ar.reserve(scratchBytes(m, k, n, policy.threads, config_));
     float *a_packed = ar.allocFloats(mp * kp);
     float *b_packed = ar.allocFloats(kp * np);
     float *c_packed = ar.allocFloats(mp * np);

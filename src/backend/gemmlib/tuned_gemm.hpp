@@ -83,6 +83,13 @@ class GemmLibrary
     void gemm(const float *a, const float *b, float *c, size_t m,
               size_t k, size_t n, const KernelPolicy &policy);
 
+    /**
+     * Arena bytes gemm() carves under @p config (@p threads is the
+     * policy's): three packing buffers plus gemmBlocked's C tiles.
+     */
+    static size_t scratchBytes(size_t m, size_t k, size_t n, int threads,
+                               const TuneConfig &config = {});
+
     /** Stats accumulated since the last resetStats(). */
     const GemmCallStats &stats() const { return stats_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "backend/simd/dispatch.hpp"
+#include "core/scratch_arena.hpp"
 
 namespace dlis::kernels {
 
@@ -10,6 +11,12 @@ size_t
 im2colBufferSize(const ConvParams &p)
 {
     return p.cin * p.kh * p.kw * p.hout() * p.wout();
+}
+
+size_t
+im2colScratchBytes(const ConvParams &p)
+{
+    return ScratchArena::alignUp(im2colBufferSize(p) * sizeof(float));
 }
 
 void

@@ -19,6 +19,9 @@ namespace dlis::kernels {
 /** Number of floats the im2col buffer needs for one image. */
 size_t im2colBufferSize(const ConvParams &p);
 
+/** Arena bytes of one image's im2col buffer, as conv carves it. */
+size_t im2colScratchBytes(const ConvParams &p);
+
 /**
  * Expand one image (CHW) into columns.
  *

@@ -83,6 +83,12 @@ transformOutput(const float m[4][4], float y[2][2])
 
 } // namespace
 
+size_t
+winogradScratchBytes(const ConvParams &p)
+{
+    return ScratchArena::alignUp(p.cout * p.cin * 16 * sizeof(float));
+}
+
 void
 convWinograd(const ConvParams &p, const float *input, const float *weight,
              const float *bias, float *output,
@@ -101,7 +107,7 @@ convWinograd(const ConvParams &p, const float *input, const float *weight,
     ScratchArena localArena;
     ScratchArena &ar = policy.arena ? *policy.arena : localArena;
     ScratchArena::Scope scope(ar, policy.counters);
-    float *u = ar.allocFloats(p.cout * p.cin * 16);
+    float *u = static_cast<float *>(ar.alloc(winogradScratchBytes(p)));
     for (size_t oc = 0; oc < p.cout; ++oc)
         for (size_t ci = 0; ci < p.cin; ++ci)
             transformFilter(weight + (oc * p.cin + ci) * 9,

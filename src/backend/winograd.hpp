@@ -29,6 +29,9 @@ bool winogradApplicable(const ConvParams &p);
  */
 size_t winogradMultiplies(const ConvParams &p);
 
+/** Arena bytes convWinograd carves (the filter transforms U). */
+size_t winogradScratchBytes(const ConvParams &p);
+
 /**
  * F(2x2, 3x3) convolution. Same contract as convDirectDense.
  *

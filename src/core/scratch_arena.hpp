@@ -13,16 +13,17 @@
  * Contract:
  *  - grow-only: capacity never shrinks until destruction, and growth
  *    is *exact* (capacity == the aligned high-water demand), which is
- *    what keeps the static estimate in src/analysis/memory_estimate.cpp
- *    byte-EXACT against the MemoryTracker (the arena registers its
- *    capacity under MemClass::Scratch);
+ *    what keeps the static memory estimate byte-EXACT against the
+ *    MemoryTracker (the arena registers its capacity under
+ *    MemClass::Scratch);
  *  - checkpoint/rewind: a layer takes a Scope at entry and the arena
  *    rewinds to the checkpoint at exit, so per-layer demands overlay
  *    rather than accumulate;
  *  - alignment-aware: every block starts on a kAlignment boundary and
  *    occupies alignUp(bytes), so offsets stay aligned and the demand
  *    of a sequence of allocations is exactly the sum of their aligned
- *    sizes (the mirror the static estimate computes);
+ *    sizes (each carving kernel exports that sum as its byte-count
+ *    function);
  *  - single-consumer: one arena serves one thread of control. Kernels
  *    that parallelise internally carve per-thread slices out of one
  *    block *before* entering the parallel region (see gemmBlocked).

@@ -30,6 +30,13 @@ class BatchNorm2d : public Layer
     std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
+    /** gamma, beta and the two running statistics. */
+    ParamBytes
+    paramBytes() const override
+    {
+        return {4 * channels_ * sizeof(float), 0};
+    }
+
     size_t channels() const { return channels_; }
     float eps() const { return eps_; }
 

@@ -4,6 +4,7 @@
 
 #include "backend/conv_kernels.hpp"
 #include "backend/gemm.hpp"
+#include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/im2col.hpp"
 #include "backend/winograd.hpp"
 #include "backend/oclsim/cl_kernels.hpp"
@@ -74,6 +75,22 @@ Conv2d::outputShape(const Shape &input) const
     return Shape{p.n, p.cout, p.hout(), p.wout()};
 }
 
+Conv2d::Path
+Conv2d::pathFor(const ConvParams &p, Backend backend, ConvAlgo algo) const
+{
+    if (backend == Backend::OclHandTuned)
+        return Path::OclHandTuned;
+    if (backend == Backend::OclGemmLib ||
+        (format_ == WeightFormat::Dense && algo == ConvAlgo::Im2colGemm))
+        return Path::Im2col;
+    if (format_ != WeightFormat::Dense)
+        return format_ == WeightFormat::Csr ? Path::Csr
+                                            : Path::PackedTernary;
+    return algo == ConvAlgo::Winograd && kernels::winogradApplicable(p)
+               ? Path::Winograd
+               : Path::Direct;
+}
+
 Tensor
 Conv2d::forward(const Tensor &input, ExecContext &ctx)
 {
@@ -84,37 +101,41 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
     }
 
     const ConvParams p = paramsFor(input.shape());
+    const Path path = pathFor(p, ctx.backend, ctx.convAlgo);
+    if (path == Path::Im2col)
+        return forwardIm2col(input, ctx);
+
     Tensor out(outputShape(input.shape()));
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
-
-    switch (ctx.backend) {
-      case Backend::Serial:
-      case Backend::OpenMP:
-        if (format_ == WeightFormat::Csr) {
-            kernels::convDirectCsrBank(p, input.data(), *bank_,
-                                       bias_ptr, out.data(),
-                                       kernelPolicy(ctx));
-        } else if (format_ == WeightFormat::PackedTernary) {
-            kernels::convDirectPackedTernary(p, input.data(), *packed_,
-                                             bias_ptr, out.data(),
-                                             kernelPolicy(ctx));
-        } else if (ctx.convAlgo == ConvAlgo::Im2colGemm) {
-            return forwardIm2col(input, ctx);
-        } else if (ctx.convAlgo == ConvAlgo::Winograd &&
-                   kernels::winogradApplicable(p)) {
-            kernels::convWinograd(p, input.data(), weight_.data(),
-                                  bias_ptr, out.data(),
-                                  kernelPolicy(ctx));
-        } else {
-            kernels::convDirectDense(p, input.data(), weight_.data(),
-                                     bias_ptr, out.data(),
-                                     kernelPolicy(ctx));
-        }
+    switch (path) {
+      case Path::Csr:
+        kernels::convDirectCsrBank(p, input.data(), *bank_, bias_ptr,
+                                   out.data(), kernelPolicy(ctx));
         break;
-      case Backend::OclHandTuned:
-        return forwardOclHandTuned(input, ctx);
-      case Backend::OclGemmLib:
-        return forwardIm2col(input, ctx);
+      case Path::PackedTernary:
+        kernels::convDirectPackedTernary(p, input.data(), *packed_,
+                                         bias_ptr, out.data(),
+                                         kernelPolicy(ctx));
+        break;
+      case Path::Winograd:
+        kernels::convWinograd(p, input.data(), weight_.data(), bias_ptr,
+                              out.data(), kernelPolicy(ctx));
+        break;
+      case Path::OclHandTuned:
+        DLIS_CHECK(format_ == WeightFormat::Dense,
+                   "OpenCL hand-tuned path requires dense weights in '",
+                   name_, "'");
+        DLIS_CHECK(ctx.queue, "OclHandTuned backend needs ctx.queue");
+        ctx.queue->recordTransfer(input.bytes() + weight_.bytes(), true);
+        oclsim::clConvDirect(*ctx.queue, p, input.data(),
+                             weight_.data(), bias_ptr, out.data());
+        ctx.queue->recordTransfer(out.bytes(), false);
+        break;
+      default:
+        kernels::convDirectDense(p, input.data(), weight_.data(),
+                                 bias_ptr, out.data(),
+                                 kernelPolicy(ctx));
+        break;
     }
     return out;
 }
@@ -133,13 +154,14 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
     const float *bias_ptr = withBias_ ? bias_.data() : nullptr;
     const KernelPolicy pol = kernelPolicy(ctx);
 
-    // The column buffer comes from the context's scratch arena and is
-    // reused for every image (and every later forward); the legacy
-    // per-call Tensor allocation remains only for arena-less callers.
+    // The column buffer comes from the context's scratch arena (a
+    // call-local one when the policy carries none) and is reused for
+    // every image and every later forward.
     ScratchArena localArena;
     ScratchArena &ar = pol.arena ? *pol.arena : localArena;
     ScratchArena::Scope scope(ar, pol.counters);
-    float *cols = ar.allocFloats(ck * ho * wo);
+    float *cols =
+        static_cast<float *>(ar.alloc(kernels::im2colScratchBytes(p)));
     const size_t colsBytes = ck * ho * wo * sizeof(float);
 
     for (size_t img = 0; img < p.n; ++img) {
@@ -180,23 +202,6 @@ Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
             }
         }
     }
-    return out;
-}
-
-Tensor
-Conv2d::forwardOclHandTuned(const Tensor &input, ExecContext &ctx)
-{
-    DLIS_CHECK(format_ == WeightFormat::Dense,
-               "OpenCL hand-tuned path requires dense weights in '",
-               name_, "'");
-    DLIS_CHECK(ctx.queue, "OclHandTuned backend needs ctx.queue");
-    const ConvParams p = paramsFor(input.shape());
-    Tensor out(outputShape(input.shape()));
-
-    ctx.queue->recordTransfer(input.bytes() + weight_.bytes(), true);
-    oclsim::clConvDirect(*ctx.queue, p, input.data(), weight_.data(),
-                         withBias_ ? bias_.data() : nullptr, out.data());
-    ctx.queue->recordTransfer(out.bytes(), false);
     return out;
 }
 
@@ -296,6 +301,40 @@ Conv2d::cost(const Shape &input) const
             weight_.bytes() + (withBias_ ? bias_.bytes() : 0);
     }
     return c;
+}
+
+ParamBytes
+Conv2d::paramBytes() const
+{
+    ParamBytes b{weight_.bytes() + bias_.bytes(), 0};
+    if (format_ == WeightFormat::Csr) {
+        b.weights += bank_->nnz() * sizeof(float);
+        b.sparseMeta += bank_->metadataBytes();
+    } else if (format_ == WeightFormat::PackedTernary) {
+        b.weights += packed_->storageBytes();
+    }
+    return b;
+}
+
+ForwardBytes
+Conv2d::forwardBytes(const Shape &input,
+                     const LayerExecOverride &exec) const
+{
+    const ConvParams p = paramsFor(input);
+    ForwardBytes b{outputShape(input).numel() * sizeof(float), 0};
+    const Path path = pathFor(p, exec.backend, exec.convAlgo);
+    const int threads = kernelThreads(exec.backend, exec.threads);
+    const size_t k = cin_ * kernel_ * kernel_, n = p.hout() * p.wout();
+    if (path == Path::Winograd)
+        b.scratch = kernels::winogradScratchBytes(p);
+    else if (path == Path::Im2col) // the library at its default config
+        b.scratch = kernels::im2colScratchBytes(p) +
+                    (exec.backend == Backend::OclGemmLib
+                         ? gemmlib::GemmLibrary::scratchBytes(cout_, k, n,
+                                                              threads)
+                         : kernels::gemmBlockedScratchBytes(cout_, n,
+                                                            threads));
+    return b;
 }
 
 void

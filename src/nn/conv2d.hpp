@@ -52,6 +52,9 @@ class Conv2d : public Layer
     std::vector<Tensor *> parameters() override;
     std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
+    ParamBytes paramBytes() const override;
+    ForwardBytes forwardBytes(const Shape &input,
+                              const LayerExecOverride &exec) const override;
 
     /** @name Geometry accessors. */
     /** @{ */
@@ -110,9 +113,21 @@ class Conv2d : public Layer
     void keepInputChannels(const std::vector<size_t> &keep);
 
   private:
+    /** The kernel path forward() dispatches to (forwardBytes too). */
+    enum class Path
+    {
+        Direct,
+        Csr,
+        PackedTernary,
+        Winograd,
+        Im2col, //!< im2col + gemmBlocked, or + the GEMM library
+        OclHandTuned,
+    };
+
     ConvParams paramsFor(const Shape &input) const;
+    Path pathFor(const ConvParams &p, Backend backend,
+                 ConvAlgo algo) const;
     Tensor forwardIm2col(const Tensor &input, ExecContext &ctx);
-    Tensor forwardOclHandTuned(const Tensor &input, ExecContext &ctx);
 
     size_t cin_, cout_, kernel_, stride_, pad_;
     bool withBias_;

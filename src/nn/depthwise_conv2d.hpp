@@ -49,6 +49,12 @@ class DepthwiseConv2d : public Layer
     std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
 
+    ParamBytes
+    paramBytes() const override
+    {
+        return {weight_.bytes() + bias_.bytes(), 0};
+    }
+
     size_t channels() const { return channels_; }
     size_t kernel() const { return kernel_; }
     size_t stride() const { return stride_; }

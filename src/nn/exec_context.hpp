@@ -73,6 +73,13 @@ struct LayerExecOverride
     int threads = 1;
 };
 
+/** Threads CPU kernels run with: only OpenMP parallelises. */
+inline int
+kernelThreads(Backend backend, int threads)
+{
+    return backend == Backend::OpenMP ? threads : 1;
+}
+
 /** Execution state threaded through every layer's forward/backward. */
 struct ExecContext
 {
@@ -134,8 +141,7 @@ struct ExecContext
     KernelPolicy
     policy() const
     {
-        KernelPolicy pol{backend == Backend::OpenMP ? threads : 1,
-                         true};
+        KernelPolicy pol{kernelThreads(backend, threads), true};
         pol.arena = arena.get();
         pol.traceFlowId = traceFlowId;
         return pol;

@@ -19,6 +19,20 @@
 
 namespace dlis {
 
+/** Parameter bytes a layer holds, in MemoryTracker classes. */
+struct ParamBytes
+{
+    size_t weights = 0;    //!< MemClass::Weights
+    size_t sparseMeta = 0; //!< MemClass::SparseMeta
+};
+
+/** What one inference forward allocates beyond its (live) input. */
+struct ForwardBytes
+{
+    size_t activations = 0; //!< peak at once, the output included
+    size_t scratch = 0;     //!< arena bytes carved in the layer's scope
+};
+
 /** Base class of every network layer. */
 class Layer
 {
@@ -56,6 +70,20 @@ class Layer
 
     /** Cost facts for an input of the given shape. */
     virtual LayerCost cost(const Shape &input) const;
+
+    /** Parameter bytes the layer holds (default: none). */
+    virtual ParamBytes paramBytes() const { return {}; }
+
+    /**
+     * Bytes an inference forward() of @p input allocates at the point
+     * @p exec, along forward()'s own dispatch (default: the output).
+     */
+    virtual ForwardBytes
+    forwardBytes(const Shape &input,
+                 [[maybe_unused]] const LayerExecOverride &exec) const
+    {
+        return {outputShape(input).numel() * sizeof(float), 0};
+    }
 
     /** Total trainable parameter count. */
     size_t parameterCount();

@@ -76,8 +76,9 @@ Linear::forward(const Tensor &input, ExecContext &ctx)
             for (size_t o = 0; o < outFeatures_; ++o)
                 out[o] += bias_[o];
         } else {
-            float *in_t = ar.allocFloats(inFeatures_ * batch);
-            float *out_t = ar.allocFloats(outFeatures_ * batch);
+            float *in_t =
+                static_cast<float *>(ar.alloc(stagingBytes(batch)));
+            float *out_t = in_t + inFeatures_ * batch;
             for (size_t b = 0; b < batch; ++b)
                 for (size_t i = 0; i < inFeatures_; ++i)
                     in_t[i * batch + b] =
@@ -166,6 +167,41 @@ Linear::cost(const Shape &input) const
         c.weightBytes = weight_.bytes() + bias_.bytes();
     }
     return c;
+}
+
+size_t
+Linear::stagingBytes(size_t batch) const
+{
+    if (batch == 1)
+        return 0;
+    return ScratchArena::alignUp((inFeatures_ + outFeatures_) * batch *
+                                 sizeof(float));
+}
+
+ParamBytes
+Linear::paramBytes() const
+{
+    ParamBytes b{weight_.bytes() + bias_.bytes(), 0};
+    if (format_ == WeightFormat::Csr) {
+        b.weights += csr_->nnz() * sizeof(float);
+        b.sparseMeta += csr_->metadataBytes();
+    }
+    return b;
+}
+
+ForwardBytes
+Linear::forwardBytes(const Shape &input,
+                     const LayerExecOverride &exec) const
+{
+    const size_t batch = outputShape(input)[0];
+    ForwardBytes b{batch * outFeatures_ * sizeof(float), 0};
+    if (format_ == WeightFormat::Dense &&
+        exec.backend == Backend::OclGemmLib) // staging + library call
+        b.scratch = stagingBytes(batch) +
+                    gemmlib::GemmLibrary::scratchBytes(
+                        outFeatures_, inFeatures_, batch,
+                        kernelThreads(exec.backend, exec.threads));
+    return b;
 }
 
 void

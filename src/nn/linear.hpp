@@ -29,6 +29,9 @@ class Linear : public Layer
     std::vector<Tensor *> parameters() override;
     std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
+    ParamBytes paramBytes() const override;
+    ForwardBytes forwardBytes(const Shape &input,
+                              const LayerExecOverride &exec) const override;
 
     size_t inFeatures() const { return inFeatures_; }
     size_t outFeatures() const { return outFeatures_; }
@@ -59,6 +62,9 @@ class Linear : public Layer
                            size_t spatial);
 
   private:
+    /** Arena bytes of the GEMM-library route's transpose staging. */
+    size_t stagingBytes(size_t batch) const;
+
     size_t inFeatures_, outFeatures_;
     WeightFormat format_ = WeightFormat::Dense;
     Tensor weight_; //!< [out, in] (empty while format is Csr)

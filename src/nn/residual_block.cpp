@@ -1,5 +1,7 @@
 #include "nn/residual_block.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 
 namespace dlis {
@@ -63,13 +65,53 @@ ResidualBlock::forward(const Tensor &input, ExecContext &ctx)
         skip = proj_->forward(input, ctx);
         span.finish();
         skip = projBn_->forward(skip, ctx);
-    } else {
-        skip = input;
     }
-    main.addInPlace(skip);
+    main.addInPlace(proj_ ? skip : input); // identity: no input copy
     if (ctx.training)
         cachedSum_ = main;
     return relu2_->forward(main, ctx);
+}
+
+ParamBytes
+ResidualBlock::paramBytes() const
+{
+    ParamBytes total;
+    for (const Layer *l : std::initializer_list<const Layer *>{
+             conv1_.get(), bn1_.get(), conv2_.get(), bn2_.get(),
+             proj_.get(), projBn_.get()}) {
+        if (l) {
+            total.weights += l->paramBytes().weights;
+            total.sparseMeta += l->paramBytes().sparseMeta;
+        }
+    }
+    return total;
+}
+
+ForwardBytes
+ResidualBlock::forwardBytes(const Shape &input,
+                            const LayerExecOverride &exec) const
+{
+    // The stages in forward()'s order. The caller holds the block
+    // input; `held` is what the block holds besides it while a stage
+    // runs. Every tensor past conv1 has the block's output shape.
+    ForwardBytes total;
+    auto stage = [&](const Layer &layer, const Shape &in, size_t held) {
+        const ForwardBytes b = layer.forwardBytes(in, exec);
+        total.activations =
+            std::max(total.activations, held + b.activations);
+        total.scratch = std::max(total.scratch, b.scratch);
+        return layer.outputShape(in);
+    };
+    const size_t out = outputShape(input).numel() * sizeof(float);
+    Shape main = stage(*conv1_, input, 0);
+    main = stage(*bn1_, main, out);
+    main = stage(*relu1_, main, out);
+    main = stage(*conv2_, main, out);
+    main = stage(*bn2_, main, out);
+    if (proj_)
+        stage(*projBn_, stage(*proj_, input, out), 2 * out);
+    stage(*relu2_, main, proj_ ? 2 * out : out);
+    return total;
 }
 
 Tensor

@@ -44,6 +44,9 @@ class ResidualBlock : public Layer
     std::vector<Tensor *> parameters() override;
     std::vector<Tensor *> gradients() override;
     LayerCost cost(const Shape &input) const override;
+    ParamBytes paramBytes() const override;
+    ForwardBytes forwardBytes(const Shape &input,
+                              const LayerExecOverride &exec) const override;
 
     /** @name Internal structure (for pruning and format changes). */
     /** @{ */

@@ -15,6 +15,7 @@
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
 #include "backend/simd/isa.hpp"
+#include "obs/trace.hpp"
 
 namespace dlis::tune {
 
@@ -82,20 +83,6 @@ renderDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-/** Escape for a JSON string literal (plans only hold plain names). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 /** 64-bit FNV-1a accumulator for the structural signature. */
@@ -297,13 +284,14 @@ class JsonReader
             if (c == '\\') {
                 if (pos_ >= src_.size())
                     break;
+                static const std::string kEscapes = "\"\\/bfnrt";
+                static const std::string kBytes = "\"\\/\b\f\n\r\t";
                 const char esc = src_[pos_++];
-                if (esc == '"' || esc == '\\' || esc == '/')
-                    v.text.push_back(esc);
-                else if (esc == 'n')
-                    v.text.push_back('\n');
-                else if (esc == 't')
-                    v.text.push_back('\t');
+                if (const size_t i = kEscapes.find(esc);
+                    i != std::string::npos)
+                    v.text.push_back(kBytes[i]);
+                else if (esc == 'u')
+                    v.text.push_back(asciiEscape());
                 else
                     parseFail("unsupported string escape");
             } else {
@@ -311,6 +299,21 @@ class JsonReader
             }
         }
         parseFail("unterminated string");
+    }
+
+    /** The four hex digits of a unicode escape; only ASCII occurs
+     *  (obs::jsonEscape spells control bytes as u00XX). */
+    char
+    asciiEscape()
+    {
+        const std::string hex = src_.substr(pos_, 4);
+        pos_ += hex.size();
+        if (hex.size() != 4 ||
+            hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                std::string::npos ||
+            std::stoul(hex, nullptr, 16) >= 0x80)
+            parseFail("unsupported unicode escape '" + hex + "'");
+        return static_cast<char>(std::stoul(hex, nullptr, 16));
     }
 
     JValue
@@ -442,7 +445,7 @@ backendField(const JValue &obj, const char *key)
 void
 renderLayer(std::ostringstream &oss, const LayerPlan &lp)
 {
-    oss << "    {\"layer\": \"" << escapeJson(lp.layer)
+    oss << "    {\"layer\": \"" << obs::jsonEscape(lp.layer)
         << "\", \"backend\": \"" << backendToken(lp.backend)
         << "\", \"algo\": \"" << algoToken(lp.algo)
         << "\", \"threads\": " << lp.threads
@@ -506,11 +509,11 @@ planToJson(const DeploymentPlan &plan)
     std::ostringstream oss;
     oss << "{\n";
     oss << "  \"plan_version\": " << plan.version << ",\n";
-    oss << "  \"model\": \"" << escapeJson(plan.model) << "\",\n";
+    oss << "  \"model\": \"" << obs::jsonEscape(plan.model) << "\",\n";
     oss << "  \"network_signature\": \""
-        << escapeJson(plan.networkSignature) << "\",\n";
+        << obs::jsonEscape(plan.networkSignature) << "\",\n";
     oss << "  \"host_fingerprint\": \""
-        << escapeJson(plan.hostFingerprint) << "\",\n";
+        << obs::jsonEscape(plan.hostFingerprint) << "\",\n";
     oss << "  \"seed\": " << plan.seed << ",\n";
     oss << "  \"default_backend\": \""
         << backendToken(plan.defaultBackend) << "\",\n";
@@ -520,7 +523,7 @@ planToJson(const DeploymentPlan &plan)
     oss << "  \"best_global_p50_s\": "
         << renderDouble(plan.bestGlobalP50) << ",\n";
     oss << "  \"best_global_config\": \""
-        << escapeJson(plan.bestGlobalConfig) << "\",\n";
+        << obs::jsonEscape(plan.bestGlobalConfig) << "\",\n";
     oss << "  \"error_budget\": " << renderDouble(plan.errorBudget)
         << ",\n";
     oss << "  \"total_error_bound\": "
@@ -623,6 +626,27 @@ planCacheFile(const std::string &dir, const std::string &model,
     return dir + "/" + model + "-" + fnv.hex() + ".plan.json";
 }
 
+std::unordered_map<std::string, LayerExecOverride>
+planOverrides(const DeploymentPlan &plan)
+{
+    std::unordered_map<std::string, LayerExecOverride> ov;
+    for (const LayerPlan &lp : plan.layers)
+        ov.emplace(lp.layer,
+                   LayerExecOverride{lp.backend, lp.algo, lp.threads});
+    return ov;
+}
+
+size_t
+planPeakBytes(const DeploymentPlan &plan, const Network &net,
+              const Shape &input)
+{
+    return analysis::memoryEstimateForPlan(net, input, planOverrides(plan),
+                                           plan.defaultBackend,
+                                           ConvAlgo::Direct,
+                                           plan.defaultThreads)
+        .total();
+}
+
 std::vector<analysis::Diagnostic>
 validatePlan(const DeploymentPlan &plan, const Network &net,
              const Shape &input, const std::string &hostFp)
@@ -703,20 +727,7 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
     // clean (same network, same schema) — on a foreign plan the
     // recompute would just echo the mismatch diagnostics above.
     if (plan.peakBytesBound != 0 && out.empty()) {
-        std::unordered_map<std::string, LayerExecOverride> ov;
-        for (const LayerPlan &lp : plan.layers) {
-            LayerExecOverride o;
-            o.backend = lp.backend;
-            o.convAlgo = lp.algo;
-            o.threads = lp.threads;
-            ov.emplace(lp.layer, o);
-        }
-        const size_t bound =
-            analysis::memoryEstimateForPlan(net, input, ov,
-                                            plan.defaultBackend,
-                                            ConvAlgo::Direct,
-                                            plan.defaultThreads)
-                .total();
+        const size_t bound = planPeakBytes(plan, net, input);
         if (bound != plan.peakBytesBound)
             analysis::diag(out, Severity::Error, Check::BadConfig, "",
                            "recorded peak_bytes_bound " +
@@ -738,13 +749,12 @@ validatePlan(const DeploymentPlan &plan, const Network &net,
 
 PlanRuntime::PlanRuntime(const DeploymentPlan &plan)
     : defaultBackend_(plan.defaultBackend),
-      defaultThreads_(plan.defaultThreads)
+      defaultThreads_(plan.defaultThreads),
+      overrides_(planOverrides(plan))
 {
     bool needsGemmLib = false;
     bool needsQueue = false;
     for (const LayerPlan &lp : plan.layers) {
-        overrides_[lp.layer] =
-            LayerExecOverride{lp.backend, lp.algo, lp.threads};
         needsGemmLib |= lp.backend == Backend::OclGemmLib;
         needsQueue |= lp.backend == Backend::OclHandTuned;
     }

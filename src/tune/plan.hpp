@@ -180,6 +180,14 @@ std::string planCacheFile(const std::string &dir,
                           const std::string &hostFp,
                           const std::string &signature);
 
+/** The per-layer override table @p plan's layers describe. */
+std::unordered_map<std::string, LayerExecOverride>
+planOverrides(const DeploymentPlan &plan);
+
+/** Static peak footprint of running @p plan: its peak_bytes_bound. */
+size_t planPeakBytes(const DeploymentPlan &plan, const Network &net,
+                     const Shape &input);
+
 /**
  * Validate @p plan against @p net (at @p input) and @p hostFp.
  * Returns diagnostics — version mismatch (PlanVersion), foreign host

@@ -534,25 +534,10 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     // Static peak footprint of the chosen assignment — recorded in
     // every plan (the serving pre-flight sizes replicas from it) and
     // required under the recorded budget when one was set.
-    {
-        std::unordered_map<std::string, LayerExecOverride> ov;
-        for (const LayerPlan &lp : plan.layers) {
-            LayerExecOverride o;
-            o.backend = lp.backend;
-            o.convAlgo = lp.algo;
-            o.threads = lp.threads;
-            ov.emplace(lp.layer, o);
-        }
-        plan.peakBytesBound =
-            analysis::memoryEstimateForPlan(net, input, ov,
-                                            plan.defaultBackend,
-                                            ConvAlgo::Direct,
-                                            plan.defaultThreads)
-                .total();
-        DLIS_CHECK(options.memBudget == 0 ||
-                       plan.peakBytesBound <= options.memBudget,
-                   "tuner: planner exceeded the mem budget");
-    }
+    plan.peakBytesBound = planPeakBytes(plan, net, input);
+    DLIS_CHECK(options.memBudget == 0 ||
+                   plan.peakBytesBound <= options.memBudget,
+               "tuner: planner exceeded the mem budget");
 
     // Composed static bound of the chosen configuration: tuned units
     // at their winner's effective algorithm, every other unit (BN,

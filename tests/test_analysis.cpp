@@ -6,6 +6,7 @@
  * MemoryTracker, and the serving engine's deployment pre-flight.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -16,6 +17,8 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/memory_estimate.hpp"
 #include "analysis/verifier.hpp"
+#include "backend/gemmlib/tuned_gemm.hpp"
+#include "backend/oclsim/ndrange.hpp"
 #include "nn/activations.hpp"
 #include "nn/models/model.hpp"
 #include "nn/pooling.hpp"
@@ -335,6 +338,72 @@ TEST(Matrix, PaperModelsAcrossSupportedConfigs)
 // Static memory estimate vs the MemoryTracker's observation.
 // ---------------------------------------------------------------------
 
+/** One execution point the estimate is held to the tracker at. */
+struct ExecPoint
+{
+    const char *name;
+    Backend backend;
+    ConvAlgo algo;
+    int threads;
+    size_t batch;
+};
+
+/**
+ * Points whose arena carve differs from the serial baseline: OpenMP
+ * im2col carves per-thread GEMM C tiles, the GEMM library packs
+ * tile-padded operands (and stages a batched fc's transpose), the
+ * hand-tuned OpenCL path runs without a workspace.
+ */
+std::vector<ExecPoint>
+scratchPoints()
+{
+    std::vector<ExecPoint> points = {
+        {"gemmlib", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 1},
+        {"gemmlib-batch2", Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1,
+         2},
+        {"hand-tuned", Backend::OclHandTuned, ConvAlgo::Direct, 1, 1},
+    };
+#if DLIS_HAVE_OPENMP
+    points.push_back(
+        {"openmp-im2col-t2", Backend::OpenMP, ConvAlgo::Im2colGemm, 2, 1});
+    points.push_back(
+        {"openmp-im2col-t4", Backend::OpenMP, ConvAlgo::Im2colGemm, 4, 1});
+#endif
+    return points;
+}
+
+/**
+ * Run @p stack at @p point (optionally under per-layer @p overrides)
+ * and hold the static estimate byte-equal to the tracker. Returns the
+ * static scratch peak.
+ */
+size_t
+expectEstimateMatchesTracker(
+    InferenceStack &stack, const ExecPoint &point,
+    const std::string &label,
+    const std::unordered_map<std::string, LayerExecOverride> *overrides =
+        nullptr)
+{
+    gemmlib::GemmLibrary lib;
+    oclsim::CommandQueue queue;
+    ExecContext ctx;
+    ctx.backend = point.backend;
+    ctx.convAlgo = point.algo;
+    ctx.threads = point.threads;
+    ctx.gemmLib = &lib;
+    ctx.queue = &queue;
+    ctx.layerOverrides = overrides;
+    const RunReport rep = collectRunReport(stack, ctx, 2, point.batch);
+    EXPECT_TRUE(rep.memory.collected) << label;
+    EXPECT_EQ(rep.memory.staticActivations,
+              rep.memory.observedActivations)
+        << label << ": static activation model has drifted from the "
+                    "runtime's allocation sequence";
+    EXPECT_EQ(rep.memory.staticScratch, rep.memory.observedScratch)
+        << label;
+    return rep.memory.staticScratch;
+}
+
 TEST(MemoryEstimate, MatchesObservedPeakExactly)
 {
     for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
@@ -361,6 +430,10 @@ TEST(MemoryEstimate, MatchesObservedPeakExactly)
         EXPECT_EQ(fp.activations, rep.memory.staticActivations)
             << model;
         EXPECT_EQ(fp.scratch, rep.memory.staticScratch) << model;
+
+        for (const ExecPoint &point : scratchPoints())
+            expectEstimateMatchesTracker(
+                stack, point, std::string(model) + "/" + point.name);
     }
 }
 
@@ -382,43 +455,48 @@ TEST(MemoryEstimate, MatchesObservedPeakForMixedPlanOverrides)
         // real tuned plan (im2col where it pays, direct elsewhere).
         // Non-conv layers ignore convAlgo in both the runtime and the
         // model, so blanket assignment is harmless.
-        std::unordered_map<std::string, LayerExecOverride> overrides;
-        const ConvAlgo algos[] = {ConvAlgo::Im2colGemm,
-                                  ConvAlgo::Direct,
-                                  ConvAlgo::Winograd};
-        Shape cur = stack.inputShape(1);
-        size_t convSeen = 0;
-        for (const auto &layer : stack.model().net.layers()) {
-            // Rotate algorithms across the layers that actually have
-            // an algorithm choice (im2col demands scratch there);
-            // everything else runs direct.
-            const bool tunable =
-                analysis::layerForwardMemory(*layer, cur,
-                                             Backend::Serial,
-                                             ConvAlgo::Im2colGemm, 1)
-                    .scratchBytes > 0;
-            LayerExecOverride ov;
-            ov.backend = Backend::Serial;
-            ov.convAlgo =
-                tunable ? algos[convSeen++ % 3] : ConvAlgo::Direct;
-            ov.threads = 1;
-            overrides[layer->name()] = ov;
-            cur = layer->outputShape(cur);
-        }
+        // The second rotation also mixes backends: OpenMP C tiles,
+        // library packing and the workspace-free OpenCL kernel next
+        // to serial layers.
+        std::vector<std::vector<LayerExecOverride>> rotations = {
+            {{Backend::Serial, ConvAlgo::Im2colGemm, 1},
+             {Backend::Serial, ConvAlgo::Direct, 1},
+             {Backend::Serial, ConvAlgo::Winograd, 1}},
+            {{Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1},
+             {Backend::OclHandTuned, ConvAlgo::Direct, 1},
+             {Backend::Serial, ConvAlgo::Winograd, 1}},
+        };
+#if DLIS_HAVE_OPENMP
+        rotations[1].push_back({Backend::OpenMP, ConvAlgo::Im2colGemm, 4});
+#endif
+        for (const auto &rotation : rotations) {
+            std::unordered_map<std::string, LayerExecOverride> overrides;
+            Shape cur = stack.inputShape(1);
+            size_t convSeen = 0;
+            for (const auto &layer : stack.model().net.layers()) {
+                // Rotate over the layers that actually have an
+                // algorithm choice (im2col demands scratch there);
+                // everything else runs serial direct.
+                const bool tunable =
+                    analysis::layerForwardMemory(*layer, cur,
+                                                 Backend::Serial,
+                                                 ConvAlgo::Im2colGemm, 1)
+                        .scratchBytes > 0;
+                overrides[layer->name()] =
+                    tunable ? rotation[convSeen++ % rotation.size()]
+                            : LayerExecOverride{};
+                cur = layer->outputShape(cur);
+            }
 
-        ExecContext ctx;
-        ctx.layerOverrides = &overrides;
-        const RunReport rep = collectRunReport(stack, ctx, 2);
-        ASSERT_TRUE(rep.memory.collected);
-        EXPECT_EQ(rep.memory.staticActivations,
-                  rep.memory.observedActivations)
-            << model << ": per-plan activation model has drifted from "
-                        "the runtime's allocation sequence";
-        EXPECT_EQ(rep.memory.staticScratch, rep.memory.observedScratch)
-            << model;
-        // A mixed plan must actually exercise the im2col scratch leg,
-        // or the equality above proves nothing.
-        EXPECT_GT(rep.memory.staticScratch, 0u) << model;
+            const ExecPoint serial{"mixed", Backend::Serial,
+                                   ConvAlgo::Direct, 1, 1};
+            // A mixed plan must actually exercise the scratch legs, or
+            // the equality proves nothing.
+            EXPECT_GT(expectEstimateMatchesTracker(stack, serial, model,
+                                                   &overrides),
+                      0u)
+                << model;
+        }
     }
 }
 
@@ -463,6 +541,15 @@ TEST(MemoryEstimate, MatchesObservedPeakForCsrDeployment)
     EXPECT_EQ(fp.weights, rep.memory.staticWeights);
     EXPECT_EQ(fp.sparseMeta, rep.memory.staticSparseMeta);
     EXPECT_GT(rep.memory.staticSparseMeta, 0u);
+
+    // CSR pins the direct kernel on the CPU backends (the OpenCL ones
+    // reject sparse weights), so the parallel CSR run is the other
+    // point to hold.
+#if DLIS_HAVE_OPENMP
+    expectEstimateMatchesTracker(
+        stack, {"csr-openmp-t4", Backend::OpenMP, ConvAlgo::Im2colGemm, 4, 1},
+        "csr-openmp-t4");
+#endif
 }
 
 TEST(MemoryEstimate, PredictsIm2colScratch)
@@ -479,6 +566,69 @@ TEST(MemoryEstimate, PredictsIm2colScratch)
     EXPECT_EQ(rep.memory.staticScratch, rep.memory.observedScratch);
     EXPECT_EQ(rep.memory.staticActivations,
               rep.memory.observedActivations);
+
+    for (const ExecPoint &point : scratchPoints()) {
+        if (point.algo != ConvAlgo::Im2colGemm)
+            continue;
+        EXPECT_GT(expectEstimateMatchesTracker(stack, point, point.name),
+                  0u)
+            << point.name;
+    }
+}
+
+// Every conv path allocates its output tensor and no other activation
+// while its input is live, on every (backend, algorithm) point the
+// verifier accepts.
+TEST(MemoryEstimate, ConvForwardAllocatesOnlyItsOutput)
+{
+    struct Geometry
+    {
+        size_t kernel, stride, pad;
+    };
+    const Shape input{1, 8, 10, 10};
+    size_t accepted = 0;
+    for (const Geometry g : {Geometry{3, 1, 1}, Geometry{3, 2, 1},
+                             Geometry{1, 1, 0}}) {
+        for (const WeightFormat format :
+             {WeightFormat::Dense, WeightFormat::Csr,
+              WeightFormat::PackedTernary}) {
+            Conv2d conv("conv", 8, 16, g.kernel, g.stride, g.pad);
+            // Ternary values, so every format can hold them.
+            for (size_t i = 0; i < conv.weight().numel(); ++i)
+                conv.weight()[i] = i % 3 == 0   ? 0.5f
+                                   : i % 3 == 1 ? -0.25f
+                                                : 0.0f;
+            conv.setFormat(format);
+            for (const Backend backend :
+                 {Backend::Serial, Backend::OpenMP,
+                  Backend::OclHandTuned, Backend::OclGemmLib}) {
+                for (const ConvAlgo algo :
+                     {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
+                      ConvAlgo::Winograd}) {
+                    const auto diags =
+                        analysis::checkLayerExecution(conv, backend,
+                                                      algo);
+                    if (std::any_of(diags.begin(), diags.end(),
+                                    [](const analysis::Diagnostic &d) {
+                                        return d.severity ==
+                                               Severity::Error;
+                                    }))
+                        continue;
+                    const analysis::LayerMemory lm =
+                        analysis::layerForwardMemory(conv, input,
+                                                     backend, algo, 2);
+                    EXPECT_EQ(lm.outputBytes, lm.transientBytes)
+                        << "k" << g.kernel << "s" << g.stride << " "
+                        << weightFormatName(format) << " "
+                        << backendName(backend) << " "
+                        << convAlgoName(algo);
+                    ++accepted;
+                }
+            }
+        }
+    }
+    // Dense runs all 12 points; sparse formats the 6 CPU ones.
+    EXPECT_EQ(3u * (12 + 6 + 6), accepted);
 }
 
 // ---------------------------------------------------------------------

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
@@ -624,6 +625,38 @@ TEST(PlanFile, ParseRenderRoundTripIsIdentity)
     EXPECT_EQ(kGoldenPlan,
               tune::planToJson(tune::loadPlanFile(path)));
     std::filesystem::remove_all(dir);
+}
+
+TEST(PlanFile, EscapedNamesRoundTripAsValidJson)
+{
+    // Every byte the writer escapes must parse back, and no raw
+    // control byte may reach the rendered text (JSON forbids them
+    // inside strings).
+    tune::DeploymentPlan plan = goldenPlan();
+    const std::string name = "odd\"name\\with\nnew\tline\x01";
+    plan.model = name;
+    plan.layers[0].layer = name;
+    const std::string json = tune::planToJson(plan);
+    for (const char c : json)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << static_cast<int>(c);
+    // Line breaks come from the layout only, never from a name.
+    const std::string golden = kGoldenPlan;
+    EXPECT_EQ(std::count(golden.begin(), golden.end(), '\n'),
+              std::count(json.begin(), json.end(), '\n'));
+
+    const tune::DeploymentPlan parsed = tune::planFromJson(json);
+    EXPECT_EQ(name, parsed.model);
+    EXPECT_EQ(name, parsed.layers[0].layer);
+    EXPECT_EQ(json, tune::planToJson(parsed));
+
+    // The escapes the writer never emits still parse.
+    std::string spelled = golden;
+    const std::string key = "\"model\": \"vgg16\"";
+    ASSERT_NE(std::string::npos, spelled.find(key));
+    spelled.replace(spelled.find(key), key.size(),
+                    "\"model\": \"a\\r\\b\\f\\u0041\"");
+    EXPECT_EQ("a\r\b\fA", tune::planFromJson(spelled).model);
 }
 
 TEST(PlanFile, ParsedFieldsSurviveTheTrip)

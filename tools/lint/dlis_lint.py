@@ -41,6 +41,12 @@ expresses:
                    Ask the interval layer instead —
                    analysis::overflowsFloat() / isFiniteValue() /
                    analysis::kFloatMax (src/analysis/interval.hpp).
+  kernel-pricing   No ``alignUp(``, ``roundUp(``, ``kGemmTile*`` or
+                   ``TuneConfig`` in src/analysis/: a kernel's scratch
+                   demand is priced by the byte-count function the
+                   kernel's own carve uses, reached through
+                   Layer::forwardBytes — never worked out again beside
+                   it, where it drifts.
 
 Suppress a finding with a same-line comment::
 
@@ -71,6 +77,7 @@ RULE_EXEMPT = {
 RULE_ONLY = {
     "kernel-heap-alloc": ("src/backend/",),
     "serve-atomic": ("src/serve/",),
+    "kernel-pricing": ("src/analysis/",),
 }
 
 # Rules suspended under specific path prefixes — the inverse of
@@ -152,6 +159,13 @@ RULES = [
         "float sentinel comparison outside src/analysis/; use "
         "analysis::overflowsFloat()/isFiniteValue()/kFloatMax "
         "(analysis/interval.hpp)",
+    ),
+    (
+        "kernel-pricing",
+        re.compile(r"(alignUp\s*\(|roundUp\s*\(|kGemmTile\w*|TuneConfig)"),
+        "{match} re-derives kernel scratch pricing in the analysis "
+        "layer; call Layer::forwardBytes, which uses the kernel's own "
+        "byte-count function",
     ),
 ]
 
