@@ -233,8 +233,9 @@ runServeSim(int argc, char **argv, InferenceStack &stack,
     // The serving pool runs on the host CPU: the OpenCL backends are
     // simulations of other devices and would serialise on the queue
     // model, so everything that is not "openmp" serves serially.
-    serveConfig.backend =
-        backend == "openmp" ? Backend::OpenMP : Backend::Serial;
+    serveConfig.backend = parseBackend(backend) == Backend::OpenMP
+                              ? Backend::OpenMP
+                              : Backend::Serial;
     serveConfig.threads = threads;
     serveConfig.workers = static_cast<size_t>(
         std::stoul(argValue(argc, argv, "--workers", "2")));
@@ -600,16 +601,9 @@ runStack(int argc, char **argv)
     const CostModel cost(device);
     const auto costs = stack.stageCosts();
 
-    double simulated = 0.0;
-    if (backend == "openmp") {
-        simulated = cost.estimateCpu(costs, threads).total();
-    } else if (backend == "opencl") {
-        simulated = cost.estimateOclHandTuned(costs).total();
-    } else if (backend == "clblast") {
-        simulated = cost.estimateOclGemmLib(costs).total();
-    } else {
-        fatal("unknown backend '", backend, "'");
-    }
+    const Backend simBackend = parseBackend(backend);
+    const double simulated =
+        cost.estimate(costs, simBackend, threads).total();
 
     const size_t repeats = static_cast<size_t>(
         std::stoul(argValue(argc, argv, "--repeat", "1")));
@@ -662,7 +656,8 @@ runStack(int argc, char **argv)
     std::printf("  MACs remaining:   %s of dense\n",
                 fmtPercent(stack.macFraction()).c_str());
     std::printf("  sim %s/%s x%d:    %.4f s\n", device.name.c_str(),
-                backend.c_str(), threads, simulated);
+                backend.c_str(), kernelThreads(simBackend, threads),
+                simulated);
     if (run.repeats > 1)
         std::printf("  host serial:      p50 %.4f s  p90 %.4f s  "
                     "p99 %.4f s (%zu repeats)\n",

@@ -195,9 +195,8 @@ analyzeNetwork(const Network &net, const AnalyzeOptions &options)
         report.diagnostics.push_back(d);
 
     if (report.model.complete) {
-        const ConvAlgo eff = NetworkErrorModel::effectiveAlgo(
-            options.backend, options.convAlgo);
-        report.e2eBound = report.model.endToEnd(eff);
+        report.e2eBound = report.model.endToEnd(LayerExecOverride{
+            options.backend, options.convAlgo, options.threads});
         if (options.errorBudget > 0.0 &&
             report.e2eBound > options.errorBudget)
             diag(report.diagnostics, Severity::Warning,

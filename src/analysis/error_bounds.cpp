@@ -4,18 +4,6 @@
 
 namespace dlis::analysis {
 
-ConvAlgo
-NetworkErrorModel::effectiveAlgo(Backend backend, ConvAlgo algo)
-{
-    switch (backend) {
-      case Backend::OclHandTuned: return ConvAlgo::Direct;
-      case Backend::OclGemmLib:   return ConvAlgo::Im2colGemm;
-      case Backend::Serial:
-      case Backend::OpenMP:       return algo;
-    }
-    return algo;
-}
-
 double
 NetworkErrorModel::unitDelta(size_t i, ConvAlgo algo) const
 {
@@ -61,6 +49,16 @@ NetworkErrorModel::endToEnd(ConvAlgo algo) const
     return t;
 }
 
+double
+NetworkErrorModel::endToEnd(const LayerExecOverride &point) const
+{
+    double t = 0.0;
+    for (size_t i = 0; i < units.size(); ++i)
+        t += contribution(
+            i, units[i].layer->resolveExec(point).value_or(point).convAlgo);
+    return t;
+}
+
 size_t
 NetworkErrorModel::indexOf(const Layer *layer) const
 {
@@ -71,19 +69,18 @@ NetworkErrorModel::indexOf(const Layer *layer) const
 }
 
 bool
-NetworkErrorModel::withinBudget(const Layer *layer, Backend backend,
-                                ConvAlgo algo, double budget) const
+NetworkErrorModel::withinBudget(const Layer *layer, ConvAlgo algo,
+                                double budget) const
 {
     if (budget <= 0.0 || !complete)
         return true;
     const size_t i = indexOf(layer);
     if (i == units.size())
         return true;
-    const ConvAlgo eff = effectiveAlgo(backend, algo);
     // Even with the cheapest choice everywhere else, does this
     // candidate keep the end-to-end bound under budget?
     const double othersMin = minTotal() - minContribution(i);
-    return contribution(i, eff) + othersMin <= budget;
+    return contribution(i, algo) + othersMin <= budget;
 }
 
 NetworkErrorModel

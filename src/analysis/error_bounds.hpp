@@ -48,16 +48,6 @@ struct NetworkErrorModel
     /** False when the range walk stopped early: no bound exists. */
     bool complete = true;
 
-    /**
-     * The algorithm whose error model a {backend, algo} pair
-     * executes: the simulated OpenCL backends pin their own kernels
-     * (hand-tuned -> direct-shaped, GEMM library -> im2col-shaped);
-     * CPU backends honour the requested algorithm. OpenMP needs no
-     * separate model — its accumulation is thread-invariant, and the
-     * gamma_K bound covers every summation order anyway.
-     */
-    static ConvAlgo effectiveAlgo(Backend backend, ConvAlgo algo);
-
     /** delta of unit @p i under @p algo. */
     double unitDelta(size_t i, ConvAlgo algo) const;
 
@@ -73,18 +63,27 @@ struct NetworkErrorModel
     /** e2e bound running every algo-sensitive unit under @p algo. */
     double endToEnd(ConvAlgo algo) const;
 
+    /**
+     * e2e bound of a forward at @p point: each unit at the algorithm
+     * its layer resolves @p point to (Layer::resolveExec; the
+     * simulated OpenCL backends run their own kernels). OpenMP needs
+     * no separate model — its accumulation is thread-invariant, and
+     * the gamma_K bound covers every summation order anyway.
+     */
+    double endToEnd(const LayerExecOverride &point) const;
+
     /** Index of @p layer's unit, or units.size() when absent. */
     size_t indexOf(const Layer *layer) const;
 
     /**
-     * Budget gate for the tuner: true when choosing {backend, algo}
-     * for @p layer can still meet @p budget assuming the best-case
-     * choice everywhere else. Layers outside the model (or an
-     * incomplete model, or budget <= 0) pass trivially — no static
-     * statement, no exclusion.
+     * Budget gate for the tuner: true when running @p layer with
+     * @p algo (a resolved point's algorithm) can still meet @p budget
+     * assuming the best-case choice everywhere else. Layers outside
+     * the model (or an incomplete model, or budget <= 0) pass
+     * trivially — no static statement, no exclusion.
      */
-    bool withinBudget(const Layer *layer, Backend backend,
-                      ConvAlgo algo, double budget) const;
+    bool withinBudget(const Layer *layer, ConvAlgo algo,
+                      double budget) const;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "backend/gemm.hpp"
+#include "backend/winograd.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -261,7 +262,7 @@ class RangeWalker
         if (dense) {
             ua.deltaIm2col = im2colDelta(double(cin) * double(kk), A);
             ua.deltaWinograd =
-                (conv.kernel() == 3 && conv.stride() == 1)
+                kernels::winogradApplicable(conv.filterParams())
                     ? winogradDelta(double(cin), A)
                     : ua.deltaDirect; // ineligible: falls back
             ua.algoSensitive = true;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/sparse_checks.hpp"
+#include "backend/winograd.hpp"
 #include "nn/models/model.hpp"
 #include "nn/pooling.hpp"
 #include "nn/residual_block.hpp"
@@ -13,38 +14,39 @@ namespace dlis::analysis {
 namespace {
 
 /**
- * The backend/format/algorithm capability rules for one standard
- * convolution — shared by the net-wide verifier walk and the
- * per-layer checkLayerExecution front end the auto-tuner uses.
+ * Capability diagnostics of running @p layer at @p requested: the
+ * point the layer's own dispatch resolves the request to, compared
+ * with the request. Shared by the net-wide verifier walk and the
+ * per-layer checkLayerExecution front end plan validation uses.
  */
 void
-convCapabilityDiags(const Conv2d &conv, Backend backend,
-                    ConvAlgo algo, std::vector<Diagnostic> &out)
+capabilityDiags(const Layer &layer, const LayerExecOverride &requested,
+                std::vector<Diagnostic> &out)
 {
-    const WeightFormat fmt = conv.format();
-    const bool ocl = backend == Backend::OclHandTuned ||
-                     backend == Backend::OclGemmLib;
-    if (fmt == WeightFormat::Dense) {
-        const bool eligible =
-            conv.kernel() == 3 && conv.stride() == 1;
-        if (!eligible && algo == ConvAlgo::Winograd)
-            diag(out, Severity::Info, Check::WinogradInapplicable,
-                 conv.name(),
-                 "not 3x3 stride-1; falls back to direct");
-    } else {
-        if (ocl)
-            diag(out, Severity::Error, Check::UnsupportedFormat,
-                 conv.name(),
-                 std::string(backendName(backend)) +
-                     " backend has no " + weightFormatName(fmt) +
-                     " kernel (runtime would panic mid-run)");
-        else if (algo != ConvAlgo::Direct)
-            diag(out, Severity::Warning, Check::AlgoIgnored,
-                 conv.name(),
-                 std::string(weightFormatName(fmt)) +
-                     " weights dispatch the direct sparse kernel; "
-                     "the requested algorithm is ignored");
+    const std::optional<LayerExecOverride> ran =
+        layer.resolveExec(requested);
+    if (!ran) {
+        diag(out, Severity::Error, Check::UnsupportedFormat, layer.name(),
+             std::string(backendName(requested.backend)) +
+                 " backend has no kernel for these weights (forward "
+                 "would reject it)");
+        return;
     }
+    // Only the CPU backends take an algorithm request; each OpenCL
+    // backend runs its own kernel.
+    const auto *conv = dynamic_cast<const Conv2d *>(&layer);
+    const bool cpu = ran->backend == Backend::Serial ||
+                     ran->backend == Backend::OpenMP;
+    if (!conv || !cpu || ran->convAlgo == requested.convAlgo)
+        return;
+    if (conv->format() == WeightFormat::Dense)
+        diag(out, Severity::Info, Check::WinogradInapplicable,
+             layer.name(), "not 3x3 stride-1; falls back to direct");
+    else
+        diag(out, Severity::Warning, Check::AlgoIgnored, layer.name(),
+             std::string(weightFormatName(conv->format())) +
+                 " weights dispatch the direct sparse kernel; "
+                 "the requested algorithm is ignored");
 }
 
 /** Walks a network symbolically, collecting diagnostics. */
@@ -168,10 +170,12 @@ class NetworkVerifier
         const WeightFormat fmt = conv.format();
         if (fmt == WeightFormat::Dense) {
             ++denseConvs_;
-            if (conv.kernel() == 3 && conv.stride() == 1)
+            if (kernels::winogradApplicable(conv.filterParams()))
                 ++winogradEligible_;
         }
-        convCapabilityDiags(conv, opt_.backend, opt_.convAlgo, diags);
+        capabilityDiags(conv,
+                        {opt_.backend, opt_.convAlgo, opt_.threads},
+                        diags);
 
         if (fmt == WeightFormat::Csr) {
             const CsrFilterBank &bank = conv.csrWeight();
@@ -440,18 +444,15 @@ std::vector<Diagnostic>
 checkLayerExecution(const Layer &layer, Backend backend, ConvAlgo algo)
 {
     std::vector<Diagnostic> out;
-    if (const auto *conv = dynamic_cast<const Conv2d *>(&layer)) {
-        convCapabilityDiags(*conv, backend, algo, out);
-    } else if (const auto *block =
-                   dynamic_cast<const ResidualBlock *>(&layer)) {
-        convCapabilityDiags(block->conv1(), backend, algo, out);
-        convCapabilityDiags(block->conv2(), backend, algo, out);
+    const LayerExecOverride requested{backend, algo, 1};
+    if (const auto *block = dynamic_cast<const ResidualBlock *>(&layer)) {
+        capabilityDiags(block->conv1(), requested, out);
+        capabilityDiags(block->conv2(), requested, out);
         if (const Conv2d *proj = block->projection())
-            convCapabilityDiags(*proj, backend, algo, out);
+            capabilityDiags(*proj, requested, out);
+    } else {
+        capabilityDiags(layer, requested, out);
     }
-    // Depthwise convolutions run the direct CPU kernel under every
-    // backend, linear layers route CSR through the CPU sparse kernel
-    // regardless of backend: no rule fires for them.
     return out;
 }
 

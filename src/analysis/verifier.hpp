@@ -11,9 +11,10 @@
  *
  *  - NCHW shape/channel inference for every layer, including the
  *    layers nested inside residual blocks;
- *  - backend/algorithm capability rules (Winograd needs a 3x3 stride-1
+ *  - backend/algorithm capability rules, read off each layer's own
+ *    dispatch (Layer::resolveExec): Winograd needs a 3x3 stride-1
  *    layer; the simulated OpenCL backends have no sparse kernels; CSR
- *    and packed weights pin the direct algorithm);
+ *    and packed weights pin the direct algorithm;
  *  - sparse-format invariants (row_ptr monotone, columns sorted and in
  *    range, byte accounting, ternary codebook well-formed);
  *  - aliasing/in-place hazards (the residual skip-add shape contract,
@@ -77,14 +78,14 @@ VerifyReport verifyNetwork(const Network &net,
 
 /**
  * Capability diagnostics for running ONE layer under (@p backend,
- * @p algo): exactly the backend/format/algorithm rules verifyNetwork
- * applies net-wide, scoped to a single layer. Residual blocks check
- * every inner convolution. Error severity means the point would
- * panic at runtime (e.g. sparse weights on an OpenCL backend);
+ * @p algo): the rules verifyNetwork applies net-wide, scoped to a
+ * single layer (residual blocks check every inner convolution). Each
+ * comes from comparing the request with the point the layer's own
+ * Layer::resolveExec resolves it to. Error severity means forward()
+ * cannot run there (e.g. sparse weights on an OpenCL backend);
  * Warning/Info mean the point executes but not as requested (sparse
  * weights pin the direct kernel, an ineligible geometry falls back
- * from Winograd) — the per-layer auto-tuner uses this to drop
- * illegal or duplicate candidate points before timing anything.
+ * from Winograd). Plan validation rejects plans with these errors.
  */
 std::vector<Diagnostic> checkLayerExecution(const Layer &layer,
                                             Backend backend,

@@ -32,8 +32,14 @@ clConvDirect(CommandQueue &queue, const ConvParams &p, const float *input,
 
     const size_t reduce_len = p.cin * p.kh * p.kw;
     const size_t vw = cfg.vectorWidth;
+    DLIS_CHECK(vw >= 1 && vw <= 16, "vector width ", vw,
+               " outside the 16-lane register tile");
+    // Taps before `body` accumulate into vw lanes; the last
+    // reduce_len % vw taps follow the lane sum, as in the device
+    // kernel's remainder loop.
+    const size_t body = reduce_len - reduce_len % vw;
 
-    queue.enqueue(range, [&, ho, wo, reduce_len, vw](const WorkItem &wi) {
+    queue.enqueue(range, [&, ho, wo, vw, body](const WorkItem &wi) {
         const size_t ox = wi.global[0];
         const size_t oy = wi.global[1];
         if (ox >= wo || oy >= ho)
@@ -44,12 +50,12 @@ clConvDirect(CommandQueue &queue, const ConvParams &p, const float *input,
         const float *in_img = input + img * p.cin * p.hin * p.win;
         const float *w_oc = weight + oc * reduce_len;
 
-        // Gather the receptive field into a contiguous register tile,
-        // then reduce in vector-width chunks — this mirrors the
-        // float16 vectorisation of the hand-tuned kernel.
-        float patch[4096];
-        DLIS_ASSERT(reduce_len <= sizeof(patch) / sizeof(float),
-                    "receptive field too large for register tile");
+        // Walk the receptive field straight from the input in
+        // reduction order, accumulating in vector-width lanes — this
+        // mirrors the float16 vectorisation of the hand-tuned kernel
+        // without bounding the receptive field by a register tile.
+        float lanes[16] = {};
+        float tail[16] = {};
         size_t idx = 0;
         for (size_t ci = 0; ci < p.cin; ++ci) {
             const float *in_ch = in_img + ci * p.hin * p.win;
@@ -61,26 +67,25 @@ clConvDirect(CommandQueue &queue, const ConvParams &p, const float *input,
                     const ptrdiff_t ix =
                         static_cast<ptrdiff_t>(ox * p.stride + kx) -
                         static_cast<ptrdiff_t>(p.pad);
-                    patch[idx] =
+                    const float x =
                         (iy >= 0 &&
                          iy < static_cast<ptrdiff_t>(p.hin) &&
                          ix >= 0 && ix < static_cast<ptrdiff_t>(p.win))
                             ? in_ch[iy * p.win + ix]
                             : 0.0f;
+                    if (idx < body)
+                        lanes[idx % vw] += w_oc[idx] * x;
+                    else
+                        tail[idx - body] = x;
                 }
             }
         }
 
-        float lanes[16] = {};
-        size_t i = 0;
-        for (; i + vw <= reduce_len; i += vw)
-            for (size_t l = 0; l < vw; ++l)
-                lanes[l] += w_oc[i + l] * patch[i + l];
         float acc = bias ? bias[oc] : 0.0f;
         for (size_t l = 0; l < vw; ++l)
             acc += lanes[l];
-        for (; i < reduce_len; ++i)
-            acc += w_oc[i] * patch[i];
+        for (size_t i = body; i < reduce_len; ++i)
+            acc += w_oc[i] * tail[i - body];
 
         output[(img * p.cout + oc) * ho * wo + oy * wo + ox] = acc;
     });

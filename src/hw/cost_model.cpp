@@ -221,6 +221,22 @@ CostModel::estimateOclGemmLib(const std::vector<LayerCost> &layers) const
     return t;
 }
 
+TimeBreakdown
+CostModel::estimate(const std::vector<LayerCost> &layers, Backend backend,
+                    int threads) const
+{
+    switch (backend) {
+      case Backend::OclHandTuned:
+        return estimateOclHandTuned(layers);
+      case Backend::OclGemmLib:
+        return estimateOclGemmLib(layers);
+      case Backend::Serial:
+      case Backend::OpenMP:
+        break;
+    }
+    return estimateCpu(layers, kernelThreads(backend, threads));
+}
+
 double
 CostModel::expectedTime(double denseSeconds, double macFraction)
 {

@@ -101,6 +101,14 @@ class CostModel
     estimateOclGemmLib(const std::vector<LayerCost> &layers) const;
 
     /**
+     * Simulated time of one inference on @p backend: the CPU clusters
+     * at the backend's kernel thread count (Serial runs one), or one
+     * of the simulated OpenCL paths, which need a device GPU model.
+     */
+    TimeBreakdown estimate(const std::vector<LayerCost> &layers,
+                           Backend backend, int threads) const;
+
+    /**
      * The "expected" time of Fig 1: dense time scaled by the fraction
      * of MACs remaining after compression.
      */

@@ -50,21 +50,28 @@ Conv2d::enableBias()
 }
 
 ConvParams
-Conv2d::paramsFor(const Shape &input) const
+Conv2d::filterParams() const
 {
-    DLIS_CHECK(input.rank() == 4 && input.c() == cin_,
-               "conv '", name_, "' expects [n, ", cin_,
-               ", h, w], got ", input.str());
     ConvParams p;
-    p.n = input.n();
     p.cin = cin_;
-    p.hin = input.h();
-    p.win = input.w();
     p.cout = cout_;
     p.kh = kernel_;
     p.kw = kernel_;
     p.stride = stride_;
     p.pad = pad_;
+    return p;
+}
+
+ConvParams
+Conv2d::paramsFor(const Shape &input) const
+{
+    DLIS_CHECK(input.rank() == 4 && input.c() == cin_,
+               "conv '", name_, "' expects [n, ", cin_,
+               ", h, w], got ", input.str());
+    ConvParams p = filterParams();
+    p.n = input.n();
+    p.hin = input.h();
+    p.win = input.w();
     return p;
 }
 
@@ -76,8 +83,12 @@ Conv2d::outputShape(const Shape &input) const
 }
 
 Conv2d::Path
-Conv2d::pathFor(const ConvParams &p, Backend backend, ConvAlgo algo) const
+Conv2d::pathFor(Backend backend, ConvAlgo algo) const
 {
+    const bool ocl =
+        backend == Backend::OclHandTuned || backend == Backend::OclGemmLib;
+    if (ocl && format_ != WeightFormat::Dense)
+        return Path::Unsupported;
     if (backend == Backend::OclHandTuned)
         return Path::OclHandTuned;
     if (backend == Backend::OclGemmLib ||
@@ -86,9 +97,25 @@ Conv2d::pathFor(const ConvParams &p, Backend backend, ConvAlgo algo) const
     if (format_ != WeightFormat::Dense)
         return format_ == WeightFormat::Csr ? Path::Csr
                                             : Path::PackedTernary;
-    return algo == ConvAlgo::Winograd && kernels::winogradApplicable(p)
+    return algo == ConvAlgo::Winograd &&
+                   kernels::winogradApplicable(filterParams())
                ? Path::Winograd
                : Path::Direct;
+}
+
+std::optional<LayerExecOverride>
+Conv2d::resolveExec(const LayerExecOverride &requested) const
+{
+    const Path path = pathFor(requested.backend, requested.convAlgo);
+    if (path == Path::Unsupported)
+        return std::nullopt;
+    const ConvAlgo algo = path == Path::Im2col     ? ConvAlgo::Im2colGemm
+                          : path == Path::Winograd ? ConvAlgo::Winograd
+                                                   : ConvAlgo::Direct;
+    if (path == Path::OclHandTuned ||
+        requested.backend == Backend::OclGemmLib)
+        return LayerExecOverride{requested.backend, algo, 1};
+    return cpuExec(requested, algo);
 }
 
 Tensor
@@ -101,7 +128,10 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
     }
 
     const ConvParams p = paramsFor(input.shape());
-    const Path path = pathFor(p, ctx.backend, ctx.convAlgo);
+    const Path path = pathFor(ctx.backend, ctx.convAlgo);
+    DLIS_CHECK(path != Path::Unsupported, "conv '", name_, "': the ",
+               backendName(ctx.backend), " backend has no ",
+               weightFormatName(format_), " kernel");
     if (path == Path::Im2col)
         return forwardIm2col(input, ctx);
 
@@ -122,9 +152,6 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
                               out.data(), kernelPolicy(ctx));
         break;
       case Path::OclHandTuned:
-        DLIS_CHECK(format_ == WeightFormat::Dense,
-                   "OpenCL hand-tuned path requires dense weights in '",
-                   name_, "'");
         DLIS_CHECK(ctx.queue, "OclHandTuned backend needs ctx.queue");
         ctx.queue->recordTransfer(input.bytes() + weight_.bytes(), true);
         oclsim::clConvDirect(*ctx.queue, p, input.data(),
@@ -143,9 +170,6 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
 Tensor
 Conv2d::forwardIm2col(const Tensor &input, ExecContext &ctx)
 {
-    DLIS_CHECK(format_ == WeightFormat::Dense,
-               "im2col/GEMM path requires dense weights in '", name_,
-               "'");
     const ConvParams p = paramsFor(input.shape());
     const size_t ho = p.hout(), wo = p.wout();
     const size_t ck = cin_ * kernel_ * kernel_;
@@ -322,7 +346,7 @@ Conv2d::forwardBytes(const Shape &input,
 {
     const ConvParams p = paramsFor(input);
     ForwardBytes b{outputShape(input).numel() * sizeof(float), 0};
-    const Path path = pathFor(p, exec.backend, exec.convAlgo);
+    const Path path = pathFor(exec.backend, exec.convAlgo);
     const int threads = kernelThreads(exec.backend, exec.threads);
     const size_t k = cin_ * kernel_ * kernel_, n = p.hout() * p.wout();
     if (path == Path::Winograd)

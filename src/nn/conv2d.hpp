@@ -55,6 +55,8 @@ class Conv2d : public Layer
     ParamBytes paramBytes() const override;
     ForwardBytes forwardBytes(const Shape &input,
                               const LayerExecOverride &exec) const override;
+    std::optional<LayerExecOverride>
+    resolveExec(const LayerExecOverride &requested) const override;
 
     /** @name Geometry accessors. */
     /** @{ */
@@ -64,6 +66,8 @@ class Conv2d : public Layer
     size_t stride() const { return stride_; }
     size_t pad() const { return pad_; }
     bool hasBias() const { return withBias_; }
+    /** The filter geometry alone (no input extent: n = 1, 0 x 0). */
+    ConvParams filterParams() const;
     /** @} */
 
     /** The dense OIHW weight tensor. */
@@ -113,7 +117,7 @@ class Conv2d : public Layer
     void keepInputChannels(const std::vector<size_t> &keep);
 
   private:
-    /** The kernel path forward() dispatches to (forwardBytes too). */
+    /** The kernel path forward(), forwardBytes and resolveExec share. */
     enum class Path
     {
         Direct,
@@ -122,11 +126,11 @@ class Conv2d : public Layer
         Winograd,
         Im2col, //!< im2col + gemmBlocked, or + the GEMM library
         OclHandTuned,
+        Unsupported, //!< non-dense weights on an OpenCL backend
     };
 
     ConvParams paramsFor(const Shape &input) const;
-    Path pathFor(const ConvParams &p, Backend backend,
-                 ConvAlgo algo) const;
+    Path pathFor(Backend backend, ConvAlgo algo) const;
     Tensor forwardIm2col(const Tensor &input, ExecContext &ctx);
 
     size_t cin_, cout_, kernel_, stride_, pad_;

@@ -71,6 +71,8 @@ struct LayerExecOverride
     Backend backend = Backend::Serial;
     ConvAlgo convAlgo = ConvAlgo::Direct;
     int threads = 1;
+
+    bool operator==(const LayerExecOverride &) const = default;
 };
 
 /** Threads CPU kernels run with: only OpenMP parallelises. */
@@ -78,6 +80,16 @@ inline int
 kernelThreads(Backend backend, int threads)
 {
     return backend == Backend::OpenMP ? threads : 1;
+}
+
+/** The canonical CPU point running @p algo for @p requested: OpenMP
+ *  at one thread is Serial. */
+inline LayerExecOverride
+cpuExec(const LayerExecOverride &requested, ConvAlgo algo)
+{
+    const int threads = kernelThreads(requested.backend, requested.threads);
+    return threads > 1 ? LayerExecOverride{Backend::OpenMP, algo, threads}
+                       : LayerExecOverride{Backend::Serial, algo, 1};
 }
 
 /** Execution state threaded through every layer's forward/backward. */

@@ -11,6 +11,7 @@
 #define DLIS_NN_LAYER_HPP
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,19 @@ class Layer
                  [[maybe_unused]] const LayerExecOverride &exec) const
     {
         return {outputShape(input).numel() * sizeof(float), 0};
+    }
+
+    /**
+     * The canonical point forward() executes when @p requested is
+     * asked for, or nullopt when forward() cannot run there and
+     * throws FatalError. Every static check, the plan validator and
+     * the tuner's search space ask this one function (default: the
+     * CPU direct kernel, threaded as the CPU kernels are).
+     */
+    virtual std::optional<LayerExecOverride>
+    resolveExec(const LayerExecOverride &requested) const
+    {
+        return cpuExec(requested, ConvAlgo::Direct);
     }
 
     /** Total trainable parameter count. */

@@ -54,7 +54,7 @@ Linear::forward(const Tensor &input, ExecContext &ctx)
         kernels::linearCsr(input.data(), *csr_, bias_.data(), out.data(),
                            batch, inFeatures_, outFeatures_,
                            kernelPolicy(ctx));
-    } else if (ctx.backend == Backend::OclGemmLib) {
+    } else if (libraryRoute(ctx.backend)) {
         // Deployment routes fully-connected layers through the same
         // tuned GEMM library as the convolutions (the hardware cost
         // model already bills them as library calls):
@@ -189,14 +189,28 @@ Linear::paramBytes() const
     return b;
 }
 
+bool
+Linear::libraryRoute(Backend backend) const
+{
+    return format_ == WeightFormat::Dense && backend == Backend::OclGemmLib;
+}
+
+std::optional<LayerExecOverride>
+Linear::resolveExec(const LayerExecOverride &requested) const
+{
+    if (libraryRoute(requested.backend))
+        return LayerExecOverride{Backend::OclGemmLib, ConvAlgo::Im2colGemm,
+                                 1};
+    return cpuExec(requested, ConvAlgo::Direct);
+}
+
 ForwardBytes
 Linear::forwardBytes(const Shape &input,
                      const LayerExecOverride &exec) const
 {
     const size_t batch = outputShape(input)[0];
     ForwardBytes b{batch * outFeatures_ * sizeof(float), 0};
-    if (format_ == WeightFormat::Dense &&
-        exec.backend == Backend::OclGemmLib) // staging + library call
+    if (libraryRoute(exec.backend)) // staging + library call
         b.scratch = stagingBytes(batch) +
                     gemmlib::GemmLibrary::scratchBytes(
                         outFeatures_, inFeatures_, batch,
@@ -209,6 +223,8 @@ Linear::setFormat(WeightFormat format)
 {
     if (format == format_)
         return;
+    DLIS_CHECK(format != WeightFormat::PackedTernary, "linear '", name_,
+               "' has no packed-ternary kernel");
     if (format == WeightFormat::Csr) {
         csr_ = CsrMatrix::fromDense(weight_.data(), outFeatures_,
                                     inFeatures_);

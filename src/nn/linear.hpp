@@ -32,6 +32,8 @@ class Linear : public Layer
     ParamBytes paramBytes() const override;
     ForwardBytes forwardBytes(const Shape &input,
                               const LayerExecOverride &exec) const override;
+    std::optional<LayerExecOverride>
+    resolveExec(const LayerExecOverride &requested) const override;
 
     size_t inFeatures() const { return inFeatures_; }
     size_t outFeatures() const { return outFeatures_; }
@@ -62,6 +64,9 @@ class Linear : public Layer
                            size_t spatial);
 
   private:
+    /** True when forward() on @p backend calls the GEMM library. */
+    bool libraryRoute(Backend backend) const;
+
     /** Arena bytes of the GEMM-library route's transpose staging. */
     size_t stagingBytes(size_t batch) const;
 

@@ -59,14 +59,15 @@ ResidualBlock::forward(const Tensor &input, ExecContext &ctx)
     }
     main = bn2_->forward(main, ctx);
 
-    Tensor skip;
     if (proj_) {
         obs::TraceSpan span(ctx.tracer, proj_->name(), "layer");
-        skip = proj_->forward(input, ctx);
+        Tensor skip = proj_->forward(input, ctx);
         span.finish();
         skip = projBn_->forward(skip, ctx);
+        main.addInPlace(skip); // released before relu2 allocates
+    } else {
+        main.addInPlace(input); // identity: no input copy
     }
-    main.addInPlace(proj_ ? skip : input); // identity: no input copy
     if (ctx.training)
         cachedSum_ = main;
     return relu2_->forward(main, ctx);
@@ -110,8 +111,30 @@ ResidualBlock::forwardBytes(const Shape &input,
     main = stage(*bn2_, main, out);
     if (proj_)
         stage(*projBn_, stage(*proj_, input, out), 2 * out);
-    stage(*relu2_, main, proj_ ? 2 * out : out);
+    stage(*relu2_, main, out);
     return total;
+}
+
+std::optional<LayerExecOverride>
+ResidualBlock::resolveExec(const LayerExecOverride &requested) const
+{
+    std::optional<LayerExecOverride> common;
+    bool agree = true;
+    for (const Conv2d *conv : {conv1_.get(), conv2_.get(), proj_.get()}) {
+        if (!conv)
+            continue;
+        const std::optional<LayerExecOverride> ran =
+            conv->resolveExec(requested);
+        if (!ran)
+            return std::nullopt;
+        agree = agree && (!common || *common == *ran);
+        common = ran;
+    }
+    if (agree)
+        return common;
+    // Only a CPU request splits the convolutions (Winograd engages on
+    // the 3x3 stride-1 ones alone); the block runs it as asked.
+    return cpuExec(requested, requested.convAlgo);
 }
 
 Tensor

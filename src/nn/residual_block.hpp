@@ -47,6 +47,9 @@ class ResidualBlock : public Layer
     ParamBytes paramBytes() const override;
     ForwardBytes forwardBytes(const Shape &input,
                               const LayerExecOverride &exec) const override;
+    /** Its convolutions' common point, else the request itself. */
+    std::optional<LayerExecOverride>
+    resolveExec(const LayerExecOverride &requested) const override;
 
     /** @name Internal structure (for pruning and format changes). */
     /** @{ */

@@ -4,11 +4,10 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <numeric>
+#include <optional>
 
 #include "analysis/error_bounds.hpp"
 #include "analysis/memory_estimate.hpp"
-#include "analysis/verifier.hpp"
 #include "tune/mem_planner.hpp"
 #include "core/error.hpp"
 #include "hw/cost_model.hpp"
@@ -22,37 +21,13 @@ namespace dlis::tune {
 
 namespace {
 
-enum class LayerKind
-{
-    Conv,      //!< standard Conv2d
-    Depthwise, //!< DepthwiseConv2d (direct CPU kernel everywhere)
-    Fc,        //!< Linear
-    Block,     //!< ResidualBlock, tuned as one unit
-};
-
 /** One layer the tuner searches, with its geometry and cost facts. */
 struct TunableLayer
 {
     Layer *layer = nullptr;
-    LayerKind kind = LayerKind::Conv;
     Shape input;
-    bool sparse = false; //!< any inner weight in a non-dense format
-    /** True when a Winograd point differs from the Direct point. */
-    bool winogradDistinct = false;
     std::vector<LayerCost> costs; //!< facts at `input` (block: stages)
 };
-
-bool
-convSparse(const Conv2d &conv)
-{
-    return conv.format() != WeightFormat::Dense;
-}
-
-bool
-convWinogradEligible(const Conv2d &conv)
-{
-    return conv.kernel() == 3 && conv.stride() == 1;
-}
 
 /** Walk @p net, collecting the layers the tuner searches. */
 std::vector<TunableLayer>
@@ -62,233 +37,35 @@ collectTunable(Network &net, const Shape &input)
     Shape cur = input;
     for (const auto &ptr : net.layers()) {
         Layer *layer = ptr.get();
-        TunableLayer tl;
-        tl.layer = layer;
-        tl.input = cur;
-        if (auto *conv = dynamic_cast<Conv2d *>(layer)) {
-            tl.kind = LayerKind::Conv;
-            tl.sparse = convSparse(*conv);
-            tl.winogradDistinct =
-                !tl.sparse && convWinogradEligible(*conv);
-            tl.costs = {conv->cost(cur)};
-            out.push_back(std::move(tl));
-        } else if (dynamic_cast<DepthwiseConv2d *>(layer)) {
-            tl.kind = LayerKind::Depthwise;
-            tl.costs = {layer->cost(cur)};
-            out.push_back(std::move(tl));
-        } else if (auto *fc = dynamic_cast<Linear *>(layer)) {
-            tl.kind = LayerKind::Fc;
-            tl.sparse = fc->format() != WeightFormat::Dense;
-            tl.costs = {fc->cost(cur)};
-            out.push_back(std::move(tl));
-        } else if (auto *block =
-                       dynamic_cast<ResidualBlock *>(layer)) {
-            tl.kind = LayerKind::Block;
-            tl.sparse = convSparse(block->conv1()) ||
-                        convSparse(block->conv2()) ||
-                        (block->projection() &&
-                         convSparse(*block->projection()));
-            tl.winogradDistinct =
-                !tl.sparse &&
-                (convWinogradEligible(block->conv1()) ||
-                 convWinogradEligible(block->conv2()));
-            tl.costs = block->stageCosts(cur);
-            out.push_back(std::move(tl));
-        }
+        if (auto *block = dynamic_cast<ResidualBlock *>(layer))
+            out.push_back({layer, cur, block->stageCosts(cur)});
+        else if (dynamic_cast<Conv2d *>(layer) ||
+                 dynamic_cast<DepthwiseConv2d *>(layer) ||
+                 dynamic_cast<Linear *>(layer))
+            out.push_back({layer, cur, {layer->cost(cur)}});
         cur = layer->outputShape(cur);
     }
     return out;
 }
 
-/**
- * Enumerate the canonical candidate grid of one layer. The grid only
- * contains distinct executions: sparse weights pin the direct kernel
- * (so only Direct appears), Winograd appears only where it actually
- * engages, the OpenCL backends appear with the one algorithm each
- * runs, and OpenMP x 1 thread (identical to Serial) is skipped.
- */
-std::vector<CandidatePoint>
-enumerateCandidates(const TunableLayer &tl, const TuneOptions &options,
-                    const analysis::NetworkErrorModel *errModel)
+bool
+samePoint(const CandidatePoint &cp, const LayerExecOverride &point)
 {
-    const bool convLike =
-        tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
-
-    std::vector<ConvAlgo> cpuAlgos = {ConvAlgo::Direct};
-    if (convLike && !tl.sparse) {
-        cpuAlgos.push_back(ConvAlgo::Im2colGemm);
-        if (tl.winogradDistinct)
-            cpuAlgos.push_back(ConvAlgo::Winograd);
-    }
-
-    std::vector<CandidatePoint> grid;
-    for (ConvAlgo algo : cpuAlgos)
-        grid.push_back({Backend::Serial, algo, 1, 0.0, 0.0, false});
-    for (int t : options.threadCandidates) {
-        if (t <= 1)
-            continue; // OpenMP x 1 duplicates Serial
-        for (ConvAlgo algo : cpuAlgos)
-            grid.push_back(
-                {Backend::OpenMP, algo, t, 0.0, 0.0, false});
-    }
-    if (convLike && !tl.sparse) {
-        grid.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1,
-                        0.0, 0.0, false});
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1,
-                        0.0, 0.0, false});
-    }
-    if (tl.kind == LayerKind::Fc && !tl.sparse)
-        grid.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1,
-                        0.0, 0.0, false});
-
-    // Capability gate: a candidate the verifier rejects would panic
-    // mid-measurement — drop it before anything is timed. The grid
-    // above is built not to generate illegal points, but the verifier
-    // owns the rules; enforcement stays here if they ever diverge.
-    std::vector<CandidatePoint> legal;
-    for (const CandidatePoint &cp : grid) {
-        const auto diags = analysis::checkLayerExecution(
-            *tl.layer, cp.backend, cp.algo);
-        const bool bad = std::any_of(
-            diags.begin(), diags.end(), [](const auto &d) {
-                return d.severity == analysis::Severity::Error;
-            });
-        if (!bad)
-            legal.push_back(cp);
-    }
-
-    // Numerical gate: annotate every surviving point with its static
-    // end-to-end error contribution; under --error-budget, points
-    // that provably bust the budget are excluded before anything is
-    // timed. If the whole grid busts it, the minimal-bound points
-    // stay eligible so the search still completes.
-    if (errModel && errModel->complete) {
-        const size_t ui = errModel->indexOf(tl.layer);
-        if (ui < errModel->units.size()) {
-            for (CandidatePoint &cp : legal) {
-                const ConvAlgo eff =
-                    analysis::NetworkErrorModel::effectiveAlgo(
-                        cp.backend, cp.algo);
-                cp.errorBound = errModel->contribution(ui, eff);
-                cp.budgetExcluded = !errModel->withinBudget(
-                    tl.layer, cp.backend, cp.algo,
-                    options.errorBudget);
-            }
-            const bool allExcluded = std::all_of(
-                legal.begin(), legal.end(),
-                [](const CandidatePoint &cp) {
-                    return cp.budgetExcluded;
-                });
-            if (allExcluded && !legal.empty()) {
-                double minBound =
-                    std::numeric_limits<double>::infinity();
-                for (const CandidatePoint &cp : legal)
-                    minBound = std::min(minBound, cp.errorBound);
-                for (CandidatePoint &cp : legal)
-                    if (cp.errorBound <= minBound)
-                        cp.budgetExcluded = false;
-            }
-        }
-    }
-    return legal;
-}
-
-/** Cost-model seed of one candidate on the configured device. */
-double
-predictSeconds(const CostModel &model,
-               const std::vector<LayerCost> &costs,
-               const CandidatePoint &cp)
-{
-    // A device without a GPU model cannot price the simulated OpenCL
-    // backends; infinity sorts those candidates last, so they only
-    // get measured when topK exceeds the priceable grid.
-    const bool gpuPriced = model.device().gpu.has_value();
-    switch (cp.backend) {
-      case Backend::Serial:
-        return model.estimateCpu(costs, 1).total();
-      case Backend::OpenMP:
-        return model.estimateCpu(costs, cp.threads).total();
-      case Backend::OclHandTuned:
-        return gpuPriced
-                   ? model.estimateOclHandTuned(costs).total()
-                   : std::numeric_limits<double>::infinity();
-      case Backend::OclGemmLib:
-        return gpuPriced
-                   ? model.estimateOclGemmLib(costs).total()
-                   : std::numeric_limits<double>::infinity();
-    }
-    return std::numeric_limits<double>::infinity();
+    return cp.backend == point.backend && cp.algo == point.convAlgo &&
+           cp.threads == point.threads;
 }
 
 /**
- * The canonical candidate a whole-network global configuration
- * {@p b, @p a, @p t} resolves to at @p tl — the dispatch rules of the
- * runtime collapsed onto the enumerated grid (sparse pins direct, an
- * OpenCL backend fixes its algorithm, non-conv layers run the CPU
- * kernel under the OpenCL backends, OpenMP x 1 is Serial).
+ * The whole-network points of the search, in order: every CPU
+ * algorithm serially and at each OpenMP width (OpenMP x 1 is Serial),
+ * then the two simulated OpenCL backends. Each layer's grid is its
+ * resolution of these, and the tuned plan competes against the best
+ * of them that every layer can run.
  */
-CandidatePoint
-effectivePoint(const TunableLayer &tl, Backend b, ConvAlgo a, int t)
+std::vector<LayerExecOverride>
+globalPoints(const TuneOptions &options)
 {
-    const bool convLike =
-        tl.kind == LayerKind::Conv || tl.kind == LayerKind::Block;
-    if (convLike && !tl.sparse) {
-        if (b == Backend::OclHandTuned)
-            return {Backend::OclHandTuned, ConvAlgo::Direct, 1, 0.0,
-                    0.0, false};
-        if (b == Backend::OclGemmLib)
-            return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.0,
-                    0.0, false};
-        ConvAlgo algo = a;
-        if (a == ConvAlgo::Winograd && !tl.winogradDistinct)
-            algo = ConvAlgo::Direct;
-        const int threads = b == Backend::OpenMP ? t : 1;
-        return {threads > 1 ? Backend::OpenMP : Backend::Serial, algo,
-                threads, 0.0, 0.0, false};
-    }
-    if (tl.kind == LayerKind::Fc && !tl.sparse &&
-        b == Backend::OclGemmLib)
-        return {Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1, 0.0,
-                0.0, false};
-    const int threads = b == Backend::OpenMP ? t : 1;
-    return {threads > 1 ? Backend::OpenMP : Backend::Serial,
-            ConvAlgo::Direct, threads, 0.0, 0.0, false};
-}
-
-/** Score of @p tl under the candidate key: measured when available. */
-double
-layerScore(const LayerSearch &search, const CandidatePoint &key)
-{
-    for (const CandidatePoint &cp : search.candidates)
-        if (cp.backend == key.backend && cp.algo == key.algo &&
-            cp.threads == key.threads)
-            return cp.measured ? cp.measuredSeconds
-                               : cp.predictedSeconds;
-    DLIS_CHECK(false, "tuner: global config resolves to a point ",
-               "missing from layer '", search.layer, "' grid");
-    return std::numeric_limits<double>::infinity();
-}
-
-/** One whole-network configuration the tuned plan competes against. */
-struct GlobalSpec
-{
-    Backend backend = Backend::Serial;
-    ConvAlgo algo = ConvAlgo::Direct;
-    int threads = 1;
-};
-
-std::string
-globalSpecName(const GlobalSpec &spec)
-{
-    return std::string(backendToken(spec.backend)) + "/" +
-           algoToken(spec.algo) + "/t" + std::to_string(spec.threads);
-}
-
-std::vector<GlobalSpec>
-enumerateGlobals(const Network &net, const Shape &input,
-                 const TuneOptions &options)
-{
-    std::vector<GlobalSpec> specs;
+    std::vector<LayerExecOverride> specs;
     const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
                               ConvAlgo::Winograd};
     for (ConvAlgo algo : algos)
@@ -301,19 +78,100 @@ enumerateGlobals(const Network &net, const Shape &input,
     }
     specs.push_back({Backend::OclHandTuned, ConvAlgo::Direct, 1});
     specs.push_back({Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1});
+    return specs;
+}
 
-    std::vector<GlobalSpec> legal;
-    for (const GlobalSpec &spec : specs) {
-        analysis::VerifyOptions vopts;
-        vopts.input = input;
-        vopts.backend = spec.backend;
-        vopts.convAlgo = spec.algo;
-        vopts.threads = spec.threads;
-        vopts.estimateMemory = false;
-        if (analysis::verifyNetwork(net, vopts).ok())
-            legal.push_back(spec);
+/**
+ * The candidate grid of one layer: the points the layer itself
+ * resolves the global points to, each once, in first-occurrence
+ * order. Sparse weights collapse every CPU algorithm onto the direct
+ * kernel, Winograd appears only where it engages, and a point the
+ * layer cannot run never appears.
+ */
+std::vector<CandidatePoint>
+enumerateCandidates(const TunableLayer &tl,
+                    const std::vector<LayerExecOverride> &globals,
+                    const TuneOptions &options,
+                    const analysis::NetworkErrorModel &errModel)
+{
+    std::vector<CandidatePoint> grid;
+    for (const LayerExecOverride &spec : globals) {
+        const std::optional<LayerExecOverride> ran =
+            tl.layer->resolveExec(spec);
+        if (!ran || std::any_of(grid.begin(), grid.end(),
+                                [&](const CandidatePoint &cp) {
+                                    return samePoint(cp, *ran);
+                                }))
+            continue;
+        grid.push_back({ran->backend, ran->convAlgo, ran->threads, 0.0,
+                        0.0, false});
     }
-    return legal;
+
+    // Numerical gate: annotate every point with its static end-to-end
+    // error contribution; under --error-budget, points that provably
+    // bust the budget are excluded before anything is timed. If the
+    // whole grid busts it, the minimal-bound points stay eligible so
+    // the search still completes.
+    if (errModel.complete) {
+        const size_t ui = errModel.indexOf(tl.layer);
+        if (ui < errModel.units.size()) {
+            for (CandidatePoint &cp : grid) {
+                cp.errorBound = errModel.contribution(ui, cp.algo);
+                cp.budgetExcluded = !errModel.withinBudget(
+                    tl.layer, cp.algo, options.errorBudget);
+            }
+            const bool allExcluded = std::all_of(
+                grid.begin(), grid.end(), [](const CandidatePoint &cp) {
+                    return cp.budgetExcluded;
+                });
+            if (allExcluded && !grid.empty()) {
+                double minBound =
+                    std::numeric_limits<double>::infinity();
+                for (const CandidatePoint &cp : grid)
+                    minBound = std::min(minBound, cp.errorBound);
+                for (CandidatePoint &cp : grid)
+                    if (cp.errorBound <= minBound)
+                        cp.budgetExcluded = false;
+            }
+        }
+    }
+    return grid;
+}
+
+/** Cost-model seed of one candidate on the configured device. */
+double
+predictSeconds(const CostModel &model,
+               const std::vector<LayerCost> &costs,
+               const CandidatePoint &cp)
+{
+    // A device without a GPU model cannot price the simulated OpenCL
+    // backends; infinity sorts those candidates last, so they only
+    // get measured when topK exceeds the priceable grid.
+    const bool cpu =
+        cp.backend == Backend::Serial || cp.backend == Backend::OpenMP;
+    if (!cpu && !model.device().gpu)
+        return std::numeric_limits<double>::infinity();
+    return model.estimate(costs, cp.backend, cp.threads).total();
+}
+
+/** Score of @p search at the point @p key: measured when available. */
+double
+layerScore(const LayerSearch &search, const LayerExecOverride &key)
+{
+    for (const CandidatePoint &cp : search.candidates)
+        if (samePoint(cp, key))
+            return cp.measured ? cp.measuredSeconds
+                               : cp.predictedSeconds;
+    DLIS_CHECK(false, "tuner: global config resolves to a point ",
+               "missing from layer '", search.layer, "' grid");
+    return std::numeric_limits<double>::infinity();
+}
+
+std::string
+globalSpecName(const LayerExecOverride &spec)
+{
+    return std::string(backendToken(spec.backend)) + "/" +
+           algoToken(spec.convAlgo) + "/t" + std::to_string(spec.threads);
 }
 
 /** Median e2e seconds of a forward under @p ctx (shared harness). */
@@ -364,6 +222,8 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         analysis::buildErrorModel(net, input,
                                   analysis::Interval{-1.0, 1.0});
 
+    const std::vector<LayerExecOverride> globals = globalPoints(options);
+
     DeploymentPlan plan;
     plan.model = stack.config().modelName;
     plan.networkSignature = networkSignature(net, input);
@@ -376,7 +236,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
         LayerSearch search;
         search.layer = tl.layer->name();
         search.candidates =
-            enumerateCandidates(tl, options, &errModel);
+            enumerateCandidates(tl, globals, options, errModel);
         for (CandidatePoint &cp : search.candidates)
             cp.predictedSeconds = predictSeconds(model, tl.costs, cp);
 
@@ -540,14 +400,12 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
                "tuner: planner exceeded the mem budget");
 
     // Composed static bound of the chosen configuration: tuned units
-    // at their winner's effective algorithm, every other unit (BN,
+    // at their winner's (resolved) algorithm, every other unit (BN,
     // pooling, activations) at its fixed local term.
     if (errModel.complete) {
         std::unordered_map<const Layer *, ConvAlgo> chosen;
         for (size_t li = 0; li < tunable.size(); ++li)
-            chosen[tunable[li].layer] =
-                analysis::NetworkErrorModel::effectiveAlgo(
-                    plan.layers[li].backend, plan.layers[li].algo);
+            chosen[tunable[li].layer] = plan.layers[li].algo;
         double total = 0.0;
         for (size_t i = 0; i < errModel.units.size(); ++i) {
             const auto it = chosen.find(errModel.units[i].layer);
@@ -561,26 +419,24 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
     // The competition: best single global {backend, algo, threads},
     // scored from the same per-layer samples so the comparison is
     // apples-to-apples, then (optionally) both measured end-to-end.
-    const std::vector<GlobalSpec> globals =
-        enumerateGlobals(net, input, options);
-    DLIS_CHECK(!globals.empty(),
-               "tuner: no legal global configuration");
-    const GlobalSpec *bestGlobal = nullptr;
+    const LayerExecOverride *bestGlobal = nullptr;
     double bestGlobalScore =
         std::numeric_limits<double>::infinity();
-    for (const GlobalSpec &spec : globals) {
+    for (const LayerExecOverride &spec : globals) {
         double score = 0.0;
-        for (const LayerSearch &search : searches) {
-            const TunableLayer &tl = tunable[&search - &searches[0]];
-            score += layerScore(
-                search, effectivePoint(tl, spec.backend, spec.algo,
-                                       spec.threads));
+        for (size_t li = 0; li < searches.size(); ++li) {
+            // A point some layer cannot run is never the control.
+            const std::optional<LayerExecOverride> ran =
+                tunable[li].layer->resolveExec(spec);
+            score += ran ? layerScore(searches[li], *ran)
+                         : std::numeric_limits<double>::infinity();
         }
         if (score < bestGlobalScore) {
             bestGlobalScore = score;
             bestGlobal = &spec;
         }
     }
+    DLIS_CHECK(bestGlobal, "tuner: no global configuration runs");
     plan.bestGlobalConfig = globalSpecName(*bestGlobal);
 
     double tunedScore = 0.0;
@@ -600,7 +456,7 @@ tunePlan(InferenceStack &stack, const TuneOptions &options,
 
         ExecContext globalCtx;
         globalCtx.backend = bestGlobal->backend;
-        globalCtx.convAlgo = bestGlobal->algo;
+        globalCtx.convAlgo = bestGlobal->convAlgo;
         globalCtx.threads = bestGlobal->threads;
         globalCtx.queue = &queue;
         globalCtx.gemmLib = &gemmLib;

@@ -12,11 +12,12 @@
  *
  * The search is staged the way the paper's Fig 6 motivates:
  *
- *  1. enumerate only LEGAL candidates — the analysis verifier's
- *     capability rules (checkLayerExecution) gate the grid, so a point
- *     that would panic (sparse weights on an OpenCL backend) or
- *     duplicate another point (Winograd on an ineligible geometry,
- *     im2col on CSR weights) is never timed;
+ *  1. enumerate only LEGAL candidates — each layer's grid is what the
+ *     layer's own Layer::resolveExec makes of the global points, each
+ *     point once: a point forward() cannot run (sparse weights on an
+ *     OpenCL backend) never appears, and points that run the same
+ *     kernel (Winograd on an ineligible geometry, im2col on CSR
+ *     weights) collapse into one, so neither is timed;
  *  2. seed with the src/hw cost model and keep only the topK
  *     candidates per layer, pruning the grid before any measurement;
  *  3. refine by measuring the survivors on the real layer geometry

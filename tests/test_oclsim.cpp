@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/oclsim/ndrange.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/models/model.hpp"
 #include "test_helpers.hpp"
 
@@ -141,6 +145,32 @@ TEST(Backends, ResNetAndMobileNetAgreeAcrossBackends)
         EXPECT_LE(m.net.forward(in, omp).maxAbsDiff(ref), 1e-6f)
             << name;
     }
+}
+
+TEST(Backends, HandTunedConvHasNoReceptiveFieldLimit)
+{
+    // cin * k * k = 4608 taps per output, as in VGG-16's 512-channel
+    // layers at full width: the hand-tuned kernel streams the
+    // receptive field from the input rather than a fixed tile.
+    Conv2d conv("conv", 512, 512, 3, 1, 1);
+    Rng rng(7);
+    conv.initKaiming(rng);
+    const Tensor in = test::randomTensor(Shape{1, 512, 4, 4}, 8);
+
+    ExecContext serial;
+    const Tensor ref = conv.forward(in, serial); // convDirectDense
+
+    oclsim::CommandQueue queue;
+    ExecContext ocl;
+    ocl.backend = Backend::OclHandTuned;
+    ocl.queue = &queue;
+    const Tensor got = conv.forward(in, ocl);
+    ASSERT_EQ(ref.shape().dims(), got.shape().dims());
+    for (size_t i = 0; i < ref.numel(); ++i)
+        EXPECT_LE(std::abs(ref[i] - got[i]),
+                  1e-4f * std::max({1.0f, std::abs(ref[i]),
+                                    std::abs(got[i])}))
+            << "flat index " << i;
 }
 
 TEST(Backends, MissingContextPiecesAreRejected)

@@ -4,12 +4,21 @@
  * parameterised inputs rather than single examples.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/verifier.hpp"
+#include "backend/gemmlib/tuned_gemm.hpp"
+#include "backend/oclsim/ndrange.hpp"
 #include "hw/cost_model.hpp"
 #include "compress/magnitude_pruner.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "nn/residual_block.hpp"
 #include "nn/shape_walk.hpp"
 #include "stack/inference_stack.hpp"
 #include "test_helpers.hpp"
@@ -256,6 +265,165 @@ TEST(StageCostProperties, FormatsNeverChangeTheFunctionOnlyTheCost)
     EXPECT_LT(csr_macs, dense_macs); // fewer executed MACs...
     // ...but the paper's point: that does NOT mean faster (asserted
     // against the cost model in test_hw.cpp).
+}
+
+// --- One capability rule: Layer::resolveExec predicts forward() and
+// --- the verifier at every (backend, algo, threads) point. ---
+
+/** Ternary weight values, so every weight format holds them exactly. */
+void
+fillTernary(Tensor &w, Rng &rng)
+{
+    const float values[] = {0.5f, -0.25f, 0.0f};
+    for (size_t i = 0; i < w.numel(); ++i)
+        w[i] = values[rng.uniformInt(3)];
+}
+
+/**
+ * Sweep @p layer over every point: it resolves a point as runnable
+ * exactly when forward() returns, checkLayerExecution reports an
+ * Error exactly when it does not, and a run matches @p ref within
+ * the parity tolerance and the resolved point bit for bit.
+ */
+void
+expectResolutionIsTheRule(Layer &layer, const Tensor &input,
+                          const Tensor &ref, const std::string &what)
+{
+    gemmlib::GemmLibrary lib;
+    oclsim::CommandQueue queue;
+    auto run = [&](const LayerExecOverride &point) {
+        ExecContext ctx;
+        ctx.backend = point.backend;
+        ctx.convAlgo = point.convAlgo;
+        ctx.threads = point.threads;
+        ctx.queue = &queue;
+        ctx.gemmLib = &lib;
+        return layer.forward(input, ctx);
+    };
+    for (Backend b : {Backend::Serial, Backend::OpenMP,
+                      Backend::OclHandTuned, Backend::OclGemmLib}) {
+        for (ConvAlgo a : {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
+                           ConvAlgo::Winograd}) {
+            for (int t : {1, 2}) {
+                const LayerExecOverride point{b, a, t};
+                SCOPED_TRACE(what + " at " + backendName(b) + "/" +
+                             convAlgoName(a) + "/t" + std::to_string(t));
+                const std::optional<LayerExecOverride> ran =
+                    layer.resolveExec(point);
+                const auto diags = analysis::checkLayerExecution(layer, b, a);
+                EXPECT_EQ(!ran, std::any_of(
+                                    diags.begin(), diags.end(),
+                                    [](const analysis::Diagnostic &d) {
+                                        return d.severity ==
+                                               analysis::Severity::Error;
+                                    }));
+                Tensor out;
+                try {
+                    out = run(point);
+                } catch (const FatalError &) {
+                    EXPECT_FALSE(ran) << "resolved as runnable, threw";
+                    continue;
+                }
+                ASSERT_TRUE(ran) << "resolved as not runnable, ran";
+                ASSERT_EQ(ref.shape().dims(), out.shape().dims());
+                for (size_t i = 0; i < ref.numel(); ++i)
+                    ASSERT_LE(std::abs(ref[i] - out[i]),
+                              1e-4f * std::max({1.0f, std::abs(ref[i]),
+                                                std::abs(out[i])}))
+                        << "flat index " << i;
+                EXPECT_EQ(0.0f, run(*ran).maxAbsDiff(out))
+                    << "the resolved point runs a different kernel";
+            }
+        }
+    }
+}
+
+const WeightFormat kFormats[] = {WeightFormat::Dense, WeightFormat::Csr,
+                                 WeightFormat::PackedTernary};
+
+TEST(CapabilityRule, ConvResolutionIsWhatForwardRuns)
+{
+    Rng rng(2018);
+    for (size_t k : {1, 3, 5}) {
+        for (size_t stride : {1, 2}) {
+            const size_t cin = 1 + rng.uniformInt(6);
+            const size_t cout = 1 + rng.uniformInt(6);
+            const size_t pad = rng.uniformInt(k / 2 + 1);
+            const Shape in{1 + rng.uniformInt(2), cin,
+                           k + rng.uniformInt(6), k + rng.uniformInt(6)};
+            const Tensor input = randomTensor(in, rng.nextU64());
+            Rng weights = rng.split();
+            for (WeightFormat format : kFormats) {
+                Conv2d conv("conv", cin, cout, k, stride, pad);
+                Rng w = weights;
+                fillTernary(conv.weight(), w);
+                ExecContext serial;
+                const Tensor ref = conv.forward(input, serial);
+                conv.setFormat(format);
+                expectResolutionIsTheRule(
+                    conv, input, ref,
+                    "k" + std::to_string(k) + "s" +
+                        std::to_string(stride) + " " +
+                        weightFormatName(format) + " in " + in.str());
+            }
+        }
+    }
+}
+
+TEST(CapabilityRule, LinearResolutionIsWhatForwardRuns)
+{
+    Rng rng(2019);
+    for (int trial = 0; trial < 4; ++trial) {
+        const size_t inF = 1 + rng.uniformInt(40);
+        const size_t outF = 1 + rng.uniformInt(12);
+        const Tensor input =
+            randomTensor(Shape{1 + rng.uniformInt(3), inF}, rng.nextU64());
+        Rng weights = rng.split();
+        for (WeightFormat format : kFormats) {
+            Linear fc("fc", inF, outF);
+            Rng w = weights;
+            fillTernary(fc.weight(), w);
+            ExecContext serial;
+            const Tensor ref = fc.forward(input, serial);
+            // Linear layers have no packed-ternary kernel; models
+            // deploy their classifiers as CSR instead.
+            if (format == WeightFormat::PackedTernary) {
+                EXPECT_THROW(fc.setFormat(format), FatalError);
+                continue;
+            }
+            fc.setFormat(format);
+            expectResolutionIsTheRule(fc, input, ref,
+                                      std::string("fc ") +
+                                          weightFormatName(format));
+        }
+    }
+}
+
+TEST(CapabilityRule, ResidualBlockResolutionIsWhatForwardRuns)
+{
+    Rng rng(2020);
+    for (size_t stride : {1, 2}) {
+        const Tensor input =
+            randomTensor(Shape{1, 4, 6, 6}, rng.nextU64());
+        Rng weights = rng.split();
+        for (WeightFormat format : kFormats) {
+            ResidualBlock block("block", 4, stride == 1 ? 4 : 8, stride);
+            Rng w = weights;
+            std::vector<Conv2d *> convs{&block.conv1(), &block.conv2()};
+            if (block.projection())
+                convs.push_back(block.projection());
+            for (Conv2d *conv : convs)
+                fillTernary(conv->weight(), w);
+            ExecContext serial;
+            const Tensor ref = block.forward(input, serial);
+            for (Conv2d *conv : convs)
+                conv->setFormat(format);
+            expectResolutionIsTheRule(
+                block, input, ref,
+                "block s" + std::to_string(stride) + " " +
+                    weightFormatName(format));
+        }
+    }
 }
 
 } // namespace

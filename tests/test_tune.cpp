@@ -33,6 +33,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -285,6 +286,96 @@ TEST(Tuner, DepthwiseLayersNeverGetGemmBackends)
             EXPECT_EQ(ConvAlgo::Direct, c.algo) << search.layer;
         }
     }
+}
+
+/**
+ * Every layer's candidate list from the audit, one line per layer:
+ * "<layer>: backend/algo/tN ..." in enumeration order.
+ */
+std::string
+renderGrids(const std::vector<tune::LayerSearch> &audit)
+{
+    std::ostringstream out;
+    for (const tune::LayerSearch &search : audit) {
+        out << search.layer << ":";
+        for (const tune::CandidatePoint &c : search.candidates)
+            out << " " << tune::backendToken(c.backend) << "/"
+                << tune::algoToken(c.algo) << "/t" << c.threads;
+        out << "\n";
+    }
+    return out.str();
+}
+
+TEST(Tuner, CandidateGridsMatchRecordedLists)
+{
+    // The per-layer grids of the three paper models in each deployed
+    // format, recorded in tests/golden/tuner_grids.txt: the search
+    // space is each layer's resolution of the global points, and a
+    // change to how layers resolve shows up here first.
+    struct Case
+    {
+        const char *tag;
+        Technique technique;
+        WeightFormat format;
+    };
+    const Case cases[] = {
+        {"dense", Technique::None, WeightFormat::Dense},
+        {"wp-csr", Technique::WeightPruning, WeightFormat::Csr},
+        {"ttq-packed", Technique::Quantisation,
+         WeightFormat::PackedTernary},
+    };
+    std::ostringstream got;
+    for (const char *model : {"vgg16", "resnet18", "mobilenet"}) {
+        for (const Case &c : cases) {
+            StackConfig config;
+            config.modelName = model;
+            config.widthMult = 0.25;
+            config.technique = c.technique;
+            config.wpSparsity = 0.8;
+            config.ttqSparsity = 0.5;
+            config.ttqThreshold = 0.05;
+            config.format = c.format;
+            InferenceStack stack(config);
+            tune::TuneOptions options = fastOptions();
+            options.threadCandidates = {2, 4};
+            std::vector<tune::LayerSearch> audit;
+            tunePlan(stack, options, &audit);
+            got << "# " << model << " " << c.tag << "\n"
+                << renderGrids(audit);
+        }
+    }
+    std::ifstream file(std::string(DLIS_TEST_GOLDEN_DIR) +
+                       "/tuner_grids.txt");
+    ASSERT_TRUE(file.good());
+    std::ostringstream golden;
+    golden << file.rdbuf();
+    EXPECT_EQ(golden.str(), got.str());
+}
+
+TEST(Tuner, MeasuresHandTunedOpenClOnWideConvolutions)
+{
+    // A 512 -> 512 3x3 convolution (4608 taps per output, as in
+    // VGG-16 at full width) on a 4x4 map: every point of its grid,
+    // the hand-tuned OpenCL one included, is measured.
+    InferenceStack stack = makeStack("vgg16");
+    Network net("wide");
+    Rng rng(11);
+    net.emplace<Conv2d>("conv1", 3, 512, 3, 8, 1)->initKaiming(rng);
+    net.emplace<Conv2d>("conv2", 512, 512, 3, 1, 1)->initKaiming(rng);
+    stack.model().net = std::move(net);
+
+    tune::TuneOptions options = fastOptions();
+    options.topK = 16;
+    std::vector<tune::LayerSearch> audit;
+    tunePlan(stack, options, &audit);
+    ASSERT_EQ(2u, audit.size());
+    const auto &grid = audit[1].candidates;
+    const auto ocl = std::find_if(
+        grid.begin(), grid.end(), [](const tune::CandidatePoint &c) {
+            return c.backend == Backend::OclHandTuned;
+        });
+    ASSERT_NE(grid.end(), ocl);
+    EXPECT_TRUE(ocl->measured);
 }
 
 TEST(Tuner, ErrorBudgetExcludesWinogradStatically)

@@ -47,6 +47,13 @@ expresses:
                    kernel's own carve uses, reached through
                    Layer::forwardBytes — never worked out again beside
                    it, where it drifts.
+  dispatch-rules   No ``kernel() ==`` / ``stride() ==`` comparisons in
+                   src/tune/ or src/analysis/: which kernel a layer runs
+                   at a point is decided by the layer's own dispatch
+                   and read through Layer::resolveExec (geometry
+                   predicates such as kernels::winogradApplicable stay
+                   with the kernels) — never worked out again beside
+                   it, where it drifts.
 
 Suppress a finding with a same-line comment::
 
@@ -78,6 +85,7 @@ RULE_ONLY = {
     "kernel-heap-alloc": ("src/backend/",),
     "serve-atomic": ("src/serve/",),
     "kernel-pricing": ("src/analysis/",),
+    "dispatch-rules": ("src/tune/", "src/analysis/"),
 }
 
 # Rules suspended under specific path prefixes — the inverse of
@@ -166,6 +174,12 @@ RULES = [
         "{match} re-derives kernel scratch pricing in the analysis "
         "layer; call Layer::forwardBytes, which uses the kernel's own "
         "byte-count function",
+    ),
+    (
+        "dispatch-rules",
+        re.compile(r"((?:kernel|stride)\s*\(\s*\)\s*==)"),
+        "{match} works out layer dispatch outside the layer; ask "
+        "Layer::resolveExec (or kernels::winogradApplicable)",
     ),
 ]
 
