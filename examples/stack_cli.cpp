@@ -12,7 +12,7 @@
  *             [--threads <n>]            simulated OpenMP threads
  *             [--platform odroid|i7]
  *             [--backend serial|openmp|opencl|clblast]
- *             [--algo direct|im2col|winograd]
+ *             [--algo direct|im2col]
  *             [--repeat <n>]             host-timing repeats (default 1)
  *             [--verify]                 statically verify the stack
  *                                        configuration (shapes, backend
@@ -69,7 +69,7 @@
  *                                        naming the minimum feasible
  *                                        peak
  *             [--mem-report]             per-layer memory breakdown
- *                                        (direct / im2col / winograd)
+ *                                        (direct / im2col)
  *                                        plus a budget -> latency
  *                                        Pareto sweep written as CSV
  *                                        under results/
@@ -159,8 +159,6 @@ parseConvAlgo(const std::string &name)
         return ConvAlgo::Direct;
     if (name == "im2col")
         return ConvAlgo::Im2colGemm;
-    if (name == "winograd")
-        return ConvAlgo::Winograd;
     fatal("unknown algorithm '", name, "'");
     return ConvAlgo::Direct; // unreachable
 }
@@ -366,8 +364,7 @@ runMemReport(int argc, char **argv, InferenceStack &stack,
     TablePrinter table("per-layer memory breakdown (" +
                        stack.config().modelName +
                        ", transient+scratch bytes)");
-    table.setHeader({"layer", "input", "output", "direct", "im2col",
-                     "winograd"});
+    table.setHeader({"layer", "input", "output", "direct", "im2col"});
     Shape cur = input;
     for (const auto &layerPtr : net.layers()) {
         const Layer &layer = *layerPtr;
@@ -383,8 +380,7 @@ runMemReport(int argc, char **argv, InferenceStack &stack,
         table.addRow({layer.name(), std::to_string(lm.inputBytes),
                       std::to_string(lm.outputBytes),
                       algoCell(ConvAlgo::Direct),
-                      algoCell(ConvAlgo::Im2colGemm),
-                      algoCell(ConvAlgo::Winograd)});
+                      algoCell(ConvAlgo::Im2colGemm)});
         cur = layer.outputShape(cur);
     }
     table.print();

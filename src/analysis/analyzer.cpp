@@ -78,19 +78,17 @@ AnalysisReport::str() const
         << convAlgoName(options.convAlgo) << ")\n";
 
     char line[256];
-    std::snprintf(line, sizeof(line), "  %-24s %-22s %10s %12s %12s %12s\n",
-                  "layer", "range", "amp", "d(direct)", "d(im2col)",
-                  "d(winograd)");
+    std::snprintf(line, sizeof(line), "  %-24s %-22s %10s %12s %12s\n",
+                  "layer", "range", "amp", "d(direct)", "d(im2col)");
     oss << line;
     for (size_t i = 0; i < model.units.size(); ++i) {
         const UnitAnalysis &ua = model.units[i];
         std::snprintf(line, sizeof(line),
-                      "  %-24s %-22s %10s %12s %12s %12s\n",
+                      "  %-24s %-22s %10s %12s %12s\n",
                       ua.name.c_str(), ua.out.overall().str().c_str(),
                       numShort(ua.amplification).c_str(),
                       numShort(ua.deltaDirect).c_str(),
-                      numShort(ua.deltaIm2col).c_str(),
-                      numShort(ua.deltaWinograd).c_str());
+                      numShort(ua.deltaIm2col).c_str());
         oss << line;
     }
     if (!model.complete)
@@ -99,9 +97,7 @@ AnalysisReport::str() const
         oss << "  end-to-end bound: direct "
             << numShort(model.endToEnd(ConvAlgo::Direct))
             << " | im2col "
-            << numShort(model.endToEnd(ConvAlgo::Im2colGemm))
-            << " | winograd "
-            << numShort(model.endToEnd(ConvAlgo::Winograd)) << "\n";
+            << numShort(model.endToEnd(ConvAlgo::Im2colGemm)) << "\n";
     if (options.errorBudget > 0.0)
         oss << "  error budget " << numShort(options.errorBudget)
             << ": bound " << numShort(e2eBound) << " — "
@@ -139,9 +135,7 @@ AnalysisReport::json() const
         oss << "  \"e2e_bound\": {\"direct\": "
             << num(model.endToEnd(ConvAlgo::Direct))
             << ", \"im2col\": "
-            << num(model.endToEnd(ConvAlgo::Im2colGemm))
-            << ", \"winograd\": "
-            << num(model.endToEnd(ConvAlgo::Winograd)) << "},\n";
+            << num(model.endToEnd(ConvAlgo::Im2colGemm)) << "},\n";
         oss << "  \"e2e_bound_chosen\": " << num(e2eBound) << ",\n";
     }
     oss << "  \"layers\": [\n";
@@ -154,7 +148,6 @@ AnalysisReport::json() const
             << ", \"amplification\": " << num(ua.amplification)
             << ", \"delta_direct\": " << num(ua.deltaDirect)
             << ", \"delta_im2col\": " << num(ua.deltaIm2col)
-            << ", \"delta_winograd\": " << num(ua.deltaWinograd)
             << ", \"quant_residual\": " << num(ua.quantResidual)
             << ", \"bn_fold_delta\": " << num(ua.bnFoldDelta) << "}"
             << (i + 1 < model.units.size() ? "," : "") << "\n";

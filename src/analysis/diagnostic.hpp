@@ -19,7 +19,7 @@ namespace dlis::analysis {
 /** How bad a finding is. Only Error fails verification. */
 enum class Severity
 {
-    Info,    //!< worth knowing (e.g. a layer will fall back)
+    Info,    //!< worth knowing (e.g. some channels are provably dead)
     Warning, //!< suspicious but the run would complete
     Error,   //!< the configuration would panic or corrupt a run
 };
@@ -37,9 +37,8 @@ enum class Check
     PoolTruncation,    //!< pool window does not divide the input
 
     // Backend / algorithm capability rules
-    UnsupportedFormat,    //!< backend has no kernel for the format
-    AlgoIgnored,          //!< requested algorithm silently ignored
-    WinogradInapplicable, //!< Winograd requested, no eligible layer
+    UnsupportedFormat, //!< backend has no kernel for the format
+    AlgoIgnored,       //!< requested algorithm silently ignored
 
     // Sparse-format invariants
     BadRowPtr,         //!< row_ptr not monotone / wrong length

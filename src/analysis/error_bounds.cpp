@@ -11,7 +11,6 @@ NetworkErrorModel::unitDelta(size_t i, ConvAlgo algo) const
     switch (algo) {
       case ConvAlgo::Direct:     return ua.deltaDirect;
       case ConvAlgo::Im2colGemm: return ua.deltaIm2col;
-      case ConvAlgo::Winograd:   return ua.deltaWinograd;
     }
     return ua.deltaDirect;
 }
@@ -26,9 +25,7 @@ double
 NetworkErrorModel::minContribution(size_t i) const
 {
     const UnitAnalysis &ua = units[i];
-    return std::min({ua.deltaDirect, ua.deltaIm2col,
-                     ua.deltaWinograd}) *
-           suffix[i];
+    return std::min(ua.deltaDirect, ua.deltaIm2col) * suffix[i];
 }
 
 double

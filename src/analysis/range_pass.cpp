@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "backend/gemm.hpp"
-#include "backend/winograd.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -26,19 +25,6 @@ ValueRange::overall() const
 namespace {
 
 constexpr double u = kFloatUnitRoundoff;
-
-/*
- * Winograd F(2x2,3x3) worst-case amplification: the 2-D transforms
- * are B^T x B (input), G g G^T (filter), A^T m A (inverse), and the
- * infinity norms of the 1-D matrices are ||B^T|| = 2, ||G|| = 1.5,
- * ||A^T|| = 3, so element magnitudes in the transform pipeline grow
- * by at most (2 * 1.5 * 3)^2 = 81 relative to the direct product.
- */
-constexpr double kWinogradAmp = 81.0;
-
-/* Per-tile transform work F(2x2,3x3) adds on top of the channel
- * reduction (input/filter/inverse transform adds). */
-constexpr double kWinogradXformTerms = 32.0;
 
 bool
 tensorFinite(const Tensor &t)
@@ -70,12 +56,6 @@ im2colDelta(double K, double A)
     const double tiles = std::ceil(
         K / double(kernels::kGemmTileK)); // dlis-lint: allow(kernel-pricing)
     return u * (K + tiles + 2.0) * A;
-}
-
-double
-winogradDelta(double cin, double A)
-{
-    return u * kWinogradAmp * (16.0 * cin + kWinogradXformTerms) * A;
 }
 
 /** Positive / negative / absolute sums of one weight group. */
@@ -261,15 +241,10 @@ class RangeWalker
         ua.deltaDirect = directDelta(K, A);
         if (dense) {
             ua.deltaIm2col = im2colDelta(double(cin) * double(kk), A);
-            ua.deltaWinograd =
-                kernels::winogradApplicable(conv.filterParams())
-                    ? winogradDelta(double(cin), A)
-                    : ua.deltaDirect; // ineligible: falls back
             ua.algoSensitive = true;
         } else {
             // Sparse formats pin the direct kernel on every backend.
             ua.deltaIm2col = ua.deltaDirect;
-            ua.deltaWinograd = ua.deltaDirect;
         }
         if (ternary) {
             // Residual vs pre-quantisation weights: each tap moved by
@@ -325,7 +300,6 @@ class RangeWalker
         ua.amplification = L;
         ua.deltaDirect = directDelta(double(kk), A);
         ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
         lastConvUnit_ = -1;
         vr_.ch = std::move(out);
         return advanceShape(dw);
@@ -371,7 +345,6 @@ class RangeWalker
         // operands bounded by deltaM.
         ua.deltaDirect = 4.0 * u * deltaM;
         ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
         // Report-only: folding this BN into the preceding dense conv
         // re-rounds every weight once.
         if (lastConvUnit_ >= 0 &&
@@ -430,7 +403,6 @@ class RangeWalker
         // Linear dispatches the tiled GEMM under every algorithm.
         ua.deltaDirect = im2colDelta(double(ni), A);
         ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
         lastConvUnit_ = -1;
         vr_.ch = std::move(out);
         return advanceShape(fc);
@@ -471,7 +443,6 @@ class RangeWalker
         ua.amplification = 1.0;
         ua.deltaDirect = u * (hw + 1.0) * vr_.magnitude();
         ua.deltaIm2col = ua.deltaDirect;
-        ua.deltaWinograd = ua.deltaDirect;
         lastConvUnit_ = -1;
         return advanceShape(gap); // averages stay in the hull
     }
@@ -480,15 +451,13 @@ class RangeWalker
     struct ChainState
     {
         double L = 1.0;
-        double dDirect = 0.0, dIm2col = 0.0, dWinograd = 0.0;
+        double dDirect = 0.0, dIm2col = 0.0;
 
         void
         compose(const UnitAnalysis &ua)
         {
             dDirect = ua.amplification * dDirect + ua.deltaDirect;
             dIm2col = ua.amplification * dIm2col + ua.deltaIm2col;
-            dWinograd =
-                ua.amplification * dWinograd + ua.deltaWinograd;
             L *= ua.amplification;
         }
     };
@@ -554,8 +523,6 @@ class RangeWalker
         ua.amplification = main.L + skip.L;
         ua.deltaDirect = main.dDirect + skip.dDirect + addRound;
         ua.deltaIm2col = main.dIm2col + skip.dIm2col + addRound;
-        ua.deltaWinograd =
-            main.dWinograd + skip.dWinograd + addRound;
         ua.algoSensitive = true;
 
         vr_.ch = std::move(sum);

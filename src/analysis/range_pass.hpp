@@ -70,7 +70,7 @@ struct ValueRange
  *
  * The deltas bound |computed - exact| for one forward through the unit
  * with exact inputs, per convolution algorithm (units without an
- * algorithm choice carry the same value in all three). Composition
+ * algorithm choice carry the same value in both). Composition
  * into network-level bounds lives in error_bounds.hpp.
  */
 struct UnitAnalysis
@@ -82,7 +82,6 @@ struct UnitAnalysis
     double amplification = 1.0; //!< L: worst-case input-error gain
     double deltaDirect = 0.0;   //!< local rounding, direct kernels
     double deltaIm2col = 0.0;   //!< ... im2col + tiled GEMM
-    double deltaWinograd = 0.0; //!< ... Winograd F(2x2,3x3)
 
     /**
      * Report-only: packed-ternary quantisation residual vs the

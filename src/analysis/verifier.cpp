@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/sparse_checks.hpp"
-#include "backend/winograd.hpp"
 #include "nn/models/model.hpp"
 #include "nn/pooling.hpp"
 #include "nn/residual_block.hpp"
@@ -39,14 +38,10 @@ capabilityDiags(const Layer &layer, const LayerExecOverride &requested,
                      ran->backend == Backend::OpenMP;
     if (!conv || !cpu || ran->convAlgo == requested.convAlgo)
         return;
-    if (conv->format() == WeightFormat::Dense)
-        diag(out, Severity::Info, Check::WinogradInapplicable,
-             layer.name(), "not 3x3 stride-1; falls back to direct");
-    else
-        diag(out, Severity::Warning, Check::AlgoIgnored, layer.name(),
-             std::string(weightFormatName(conv->format())) +
-                 " weights dispatch the direct sparse kernel; "
-                 "the requested algorithm is ignored");
+    diag(out, Severity::Warning, Check::AlgoIgnored, layer.name(),
+         std::string(weightFormatName(conv->format())) +
+             " weights dispatch the direct sparse kernel; "
+             "the requested algorithm is ignored");
 }
 
 /** Walks a network symbolically, collecting diagnostics. */
@@ -95,22 +90,10 @@ class NetworkVerifier
         }
 
         checkFoldBnPairs(net);
-
-        // A Winograd request that no layer can serve is a stack
-        // misconfiguration: every conv would silently fall back and
-        // the measured numbers would not be Winograd's.
-        if (opt_.convAlgo == ConvAlgo::Winograd && denseConvs_ > 0 &&
-            winogradEligible_ == 0)
-            diag(diags, Severity::Error, Check::WinogradInapplicable,
-                 "",
-                 "Winograd requested but no convolution is 3x3 "
-                 "stride-1 (every layer would fall back to direct)");
     }
 
   private:
     const VerifyOptions &opt_;
-    size_t denseConvs_ = 0;       //!< dense-format standard convs seen
-    size_t winogradEligible_ = 0; //!< ...of which 3x3 stride-1
 
     static std::string
     shapeStr(const Shape &s)
@@ -168,11 +151,6 @@ class NetworkVerifier
         }
 
         const WeightFormat fmt = conv.format();
-        if (fmt == WeightFormat::Dense) {
-            ++denseConvs_;
-            if (kernels::winogradApplicable(conv.filterParams()))
-                ++winogradEligible_;
-        }
         capabilityDiags(conv,
                         {opt_.backend, opt_.convAlgo, opt_.threads},
                         diags);

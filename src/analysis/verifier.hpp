@@ -12,9 +12,9 @@
  *  - NCHW shape/channel inference for every layer, including the
  *    layers nested inside residual blocks;
  *  - backend/algorithm capability rules, read off each layer's own
- *    dispatch (Layer::resolveExec): Winograd needs a 3x3 stride-1
- *    layer; the simulated OpenCL backends have no sparse kernels; CSR
- *    and packed weights pin the direct algorithm;
+ *    dispatch (Layer::resolveExec): the simulated OpenCL backends
+ *    have no sparse kernels; CSR and packed weights pin the direct
+ *    algorithm;
  *  - sparse-format invariants (row_ptr monotone, columns sorted and in
  *    range, byte accounting, ternary codebook well-formed);
  *  - aliasing/in-place hazards (the residual skip-add shape contract,
@@ -82,10 +82,9 @@ VerifyReport verifyNetwork(const Network &net,
  * single layer (residual blocks check every inner convolution). Each
  * comes from comparing the request with the point the layer's own
  * Layer::resolveExec resolves it to. Error severity means forward()
- * cannot run there (e.g. sparse weights on an OpenCL backend);
- * Warning/Info mean the point executes but not as requested (sparse
- * weights pin the direct kernel, an ineligible geometry falls back
- * from Winograd). Plan validation rejects plans with these errors.
+ * cannot run there (sparse weights on an OpenCL backend); Warning
+ * means the point executes but not as requested (sparse weights pin
+ * the direct kernel). Plan validation rejects plans with these errors.
  */
 std::vector<Diagnostic> checkLayerExecution(const Layer &layer,
                                             Backend backend,

@@ -6,7 +6,6 @@
 #include "backend/gemm.hpp"
 #include "backend/gemmlib/tuned_gemm.hpp"
 #include "backend/im2col.hpp"
-#include "backend/winograd.hpp"
 #include "backend/oclsim/cl_kernels.hpp"
 #include "core/scratch_arena.hpp"
 #include "obs/metrics.hpp"
@@ -50,29 +49,13 @@ Conv2d::enableBias()
 }
 
 ConvParams
-Conv2d::filterParams() const
-{
-    ConvParams p;
-    p.cin = cin_;
-    p.cout = cout_;
-    p.kh = kernel_;
-    p.kw = kernel_;
-    p.stride = stride_;
-    p.pad = pad_;
-    return p;
-}
-
-ConvParams
 Conv2d::paramsFor(const Shape &input) const
 {
     DLIS_CHECK(input.rank() == 4 && input.c() == cin_,
                "conv '", name_, "' expects [n, ", cin_,
                ", h, w], got ", input.str());
-    ConvParams p = filterParams();
-    p.n = input.n();
-    p.hin = input.h();
-    p.win = input.w();
-    return p;
+    return ConvParams{input.n(), cin_, input.h(), input.w(), cout_,
+                      kernel_, kernel_, stride_, pad_};
 }
 
 Shape
@@ -97,10 +80,7 @@ Conv2d::pathFor(Backend backend, ConvAlgo algo) const
     if (format_ != WeightFormat::Dense)
         return format_ == WeightFormat::Csr ? Path::Csr
                                             : Path::PackedTernary;
-    return algo == ConvAlgo::Winograd &&
-                   kernels::winogradApplicable(filterParams())
-               ? Path::Winograd
-               : Path::Direct;
+    return Path::Direct;
 }
 
 std::optional<LayerExecOverride>
@@ -109,9 +89,8 @@ Conv2d::resolveExec(const LayerExecOverride &requested) const
     const Path path = pathFor(requested.backend, requested.convAlgo);
     if (path == Path::Unsupported)
         return std::nullopt;
-    const ConvAlgo algo = path == Path::Im2col     ? ConvAlgo::Im2colGemm
-                          : path == Path::Winograd ? ConvAlgo::Winograd
-                                                   : ConvAlgo::Direct;
+    const ConvAlgo algo =
+        path == Path::Im2col ? ConvAlgo::Im2colGemm : ConvAlgo::Direct;
     if (path == Path::OclHandTuned ||
         requested.backend == Backend::OclGemmLib)
         return LayerExecOverride{requested.backend, algo, 1};
@@ -146,10 +125,6 @@ Conv2d::forward(const Tensor &input, ExecContext &ctx)
         kernels::convDirectPackedTernary(p, input.data(), *packed_,
                                          bias_ptr, out.data(),
                                          kernelPolicy(ctx));
-        break;
-      case Path::Winograd:
-        kernels::convWinograd(p, input.data(), weight_.data(), bias_ptr,
-                              out.data(), kernelPolicy(ctx));
         break;
       case Path::OclHandTuned:
         DLIS_CHECK(ctx.queue, "OclHandTuned backend needs ctx.queue");
@@ -349,9 +324,7 @@ Conv2d::forwardBytes(const Shape &input,
     const Path path = pathFor(exec.backend, exec.convAlgo);
     const int threads = kernelThreads(exec.backend, exec.threads);
     const size_t k = cin_ * kernel_ * kernel_, n = p.hout() * p.wout();
-    if (path == Path::Winograd)
-        b.scratch = kernels::winogradScratchBytes(p);
-    else if (path == Path::Im2col) // the library at its default config
+    if (path == Path::Im2col) // the library at its default config
         b.scratch = kernels::im2colScratchBytes(p) +
                     (exec.backend == Backend::OclGemmLib
                          ? gemmlib::GemmLibrary::scratchBytes(cout_, k, n,

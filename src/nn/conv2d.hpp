@@ -66,8 +66,6 @@ class Conv2d : public Layer
     size_t stride() const { return stride_; }
     size_t pad() const { return pad_; }
     bool hasBias() const { return withBias_; }
-    /** The filter geometry alone (no input extent: n = 1, 0 x 0). */
-    ConvParams filterParams() const;
     /** @} */
 
     /** The dense OIHW weight tensor. */
@@ -123,7 +121,6 @@ class Conv2d : public Layer
         Direct,
         Csr,
         PackedTernary,
-        Winograd,
         Im2col, //!< im2col + gemmBlocked, or + the GEMM library
         OclHandTuned,
         Unsupported, //!< non-dense weights on an OpenCL backend

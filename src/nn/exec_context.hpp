@@ -53,8 +53,6 @@ enum class ConvAlgo
 {
     Direct,     //!< direct convolution (the paper's baseline path)
     Im2colGemm, //!< im2col + GEMM
-    Winograd,   //!< F(2x2, 3x3) transform (3x3 stride-1 layers only;
-                //!< other geometries fall back to Direct)
 };
 
 /** Human-readable algorithm name. */

@@ -33,7 +33,6 @@ convAlgoName(ConvAlgo algo)
     switch (algo) {
       case ConvAlgo::Direct:     return "direct";
       case ConvAlgo::Im2colGemm: return "im2col-gemm";
-      case ConvAlgo::Winograd:   return "winograd";
     }
     return "?";
 }

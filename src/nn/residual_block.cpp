@@ -132,8 +132,8 @@ ResidualBlock::resolveExec(const LayerExecOverride &requested) const
     }
     if (agree)
         return common;
-    // Only a CPU request splits the convolutions (Winograd engages on
-    // the 3x3 stride-1 ones alone); the block runs it as asked.
+    // Only a CPU request splits the convolutions (a sparse one pins
+    // direct where a dense one runs im2col); the block runs it as asked.
     return cpuExec(requested, requested.convAlgo);
 }
 

@@ -54,7 +54,6 @@ algoToken(ConvAlgo algo)
     switch (algo) {
       case ConvAlgo::Direct:     return "direct";
       case ConvAlgo::Im2colGemm: return "im2col";
-      case ConvAlgo::Winograd:   return "winograd";
     }
     return "?";
 }
@@ -66,8 +65,6 @@ algoFromToken(const std::string &token, ConvAlgo &out)
         out = ConvAlgo::Direct;
     } else if (token == "im2col") {
         out = ConvAlgo::Im2colGemm;
-    } else if (token == "winograd") {
-        out = ConvAlgo::Winograd;
     } else {
         return false;
     }

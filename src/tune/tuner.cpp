@@ -66,8 +66,7 @@ std::vector<LayerExecOverride>
 globalPoints(const TuneOptions &options)
 {
     std::vector<LayerExecOverride> specs;
-    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                              ConvAlgo::Winograd};
+    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm};
     for (ConvAlgo algo : algos)
         specs.push_back({Backend::Serial, algo, 1});
     for (int t : options.threadCandidates) {
@@ -85,8 +84,7 @@ globalPoints(const TuneOptions &options)
  * The candidate grid of one layer: the points the layer itself
  * resolves the global points to, each once, in first-occurrence
  * order. Sparse weights collapse every CPU algorithm onto the direct
- * kernel, Winograd appears only where it engages, and a point the
- * layer cannot run never appears.
+ * kernel, and a point the layer cannot run never appears.
  */
 std::vector<CandidatePoint>
 enumerateCandidates(const TunableLayer &tl,

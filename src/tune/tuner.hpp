@@ -5,7 +5,7 @@
  * For every tunable layer of a built InferenceStack (standard,
  * depthwise and residual-block convolutions, linear layers) the tuner
  * searches the cross-stack deployment space the paper characterises —
- * algorithm (direct / im2col / Winograd / format-pinned sparse) x
+ * algorithm (direct / im2col / format-pinned sparse) x
  * backend (serial / OpenMP / simulated OpenCL hand-tuned / simulated
  * GEMM library) x thread count — and emits the fastest point per
  * layer as a DeploymentPlan.
@@ -16,8 +16,8 @@
  *     layer's own Layer::resolveExec makes of the global points, each
  *     point once: a point forward() cannot run (sparse weights on an
  *     OpenCL backend) never appears, and points that run the same
- *     kernel (Winograd on an ineligible geometry, im2col on CSR
- *     weights) collapse into one, so neither is timed;
+ *     kernel (im2col on CSR weights or on a depthwise layer) collapse
+ *     into one, so neither is timed twice;
  *  2. seed with the src/hw cost model and keep only the topK
  *     candidates per layer, pruning the grid before any measurement;
  *  3. refine by measuring the survivors on the real layer geometry

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -115,20 +116,6 @@ TEST(Corpus, NonMonotoneRowPtr)
         verify(csrConvNet(std::move(s)), Shape{1, 1, 8, 8});
     EXPECT_FALSE(rep.ok());
     EXPECT_TRUE(rep.has(Check::BadRowPtr));
-}
-
-TEST(Corpus, WinogradOnFiveByFive)
-{
-    Network net("wino-5x5");
-    Rng rng(1);
-    net.emplace<Conv2d>("conv5x5", 3, 8, 5, 1, 2)->initKaiming(rng);
-
-    const VerifyReport rep = verify(net, Shape{1, 3, 8, 8},
-                                    Backend::Serial, ConvAlgo::Winograd);
-    EXPECT_FALSE(rep.ok());
-    EXPECT_TRUE(rep.has(Check::WinogradInapplicable));
-    // The same net is fine under the direct algorithm.
-    EXPECT_TRUE(verify(net, Shape{1, 3, 8, 8}).ok());
 }
 
 TEST(Corpus, AliasedResidualSkipAdd)
@@ -460,11 +447,9 @@ TEST(MemoryEstimate, MatchesObservedPeakForMixedPlanOverrides)
         // to serial layers.
         std::vector<std::vector<LayerExecOverride>> rotations = {
             {{Backend::Serial, ConvAlgo::Im2colGemm, 1},
-             {Backend::Serial, ConvAlgo::Direct, 1},
-             {Backend::Serial, ConvAlgo::Winograd, 1}},
+             {Backend::Serial, ConvAlgo::Direct, 1}},
             {{Backend::OclGemmLib, ConvAlgo::Im2colGemm, 1},
-             {Backend::OclHandTuned, ConvAlgo::Direct, 1},
-             {Backend::Serial, ConvAlgo::Winograd, 1}},
+             {Backend::OclHandTuned, ConvAlgo::Direct, 1}},
         };
 #if DLIS_HAVE_OPENMP
         rotations[1].push_back({Backend::OpenMP, ConvAlgo::Im2colGemm, 4});
@@ -603,8 +588,7 @@ TEST(MemoryEstimate, ConvForwardAllocatesOnlyItsOutput)
                  {Backend::Serial, Backend::OpenMP,
                   Backend::OclHandTuned, Backend::OclGemmLib}) {
                 for (const ConvAlgo algo :
-                     {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                      ConvAlgo::Winograd}) {
+                     {ConvAlgo::Direct, ConvAlgo::Im2colGemm}) {
                     const auto diags =
                         analysis::checkLayerExecution(conv, backend,
                                                       algo);
@@ -627,8 +611,8 @@ TEST(MemoryEstimate, ConvForwardAllocatesOnlyItsOutput)
             }
         }
     }
-    // Dense runs all 12 points; sparse formats the 6 CPU ones.
-    EXPECT_EQ(3u * (12 + 6 + 6), accepted);
+    // Dense runs all 8 points; sparse formats the 4 CPU ones.
+    EXPECT_EQ(3u * (8 + 4 + 4), accepted);
 }
 
 // ---------------------------------------------------------------------
@@ -874,8 +858,7 @@ TEST(Analyzer, BudgetWarningTracksTheComposedBound)
 
 TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
 {
-    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                              ConvAlgo::Winograd};
+    const ConvAlgo algos[] = {ConvAlgo::Direct, ConvAlgo::Im2colGemm};
     size_t unitsChecked = 0;
 
     for (uint64_t seed = 1; seed <= 20; ++seed) {
@@ -886,8 +869,8 @@ TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
         const size_t side = 8 + rng.uniformInt(9);
         const int depth = 2 + static_cast<int>(rng.uniformInt(3));
         for (int li = 0; li < depth; ++li) {
-            // 3x3 stride-1 keeps every layer Winograd-eligible, so
-            // all three algorithm models are exercised end to end.
+            // Dense 3x3 stride-1 layers: both algorithm models are
+            // exercised end to end.
             const size_t cout = 1 + rng.uniformInt(8);
             net.emplace<Conv2d>("c" + std::to_string(li), cin, cout,
                                 3, 1, 1)
@@ -945,7 +928,7 @@ TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
         // Both executions deviate from exact arithmetic by at most
         // their own bound, so they deviate from each other by at most
         // the sum.
-        for (size_t ai = 1; ai < 3; ++ai) {
+        for (size_t ai = 1; ai < std::size(algos); ++ai) {
             const double bound = model.endToEnd(algos[ai]) +
                                  model.endToEnd(algos[0]);
             size_t over = 0;
@@ -962,7 +945,7 @@ TEST(PropertyBounds, RandomConvChainsStayInsideStaticBounds)
             EXPECT_EQ(0u, over) << "seed " << seed;
         }
     }
-    EXPECT_GE(unitsChecked, 20u * 3u * 2u);
+    EXPECT_GE(unitsChecked, 20u * std::size(algos) * 2u);
 }
 
 } // namespace

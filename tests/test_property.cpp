@@ -302,8 +302,7 @@ expectResolutionIsTheRule(Layer &layer, const Tensor &input,
     };
     for (Backend b : {Backend::Serial, Backend::OpenMP,
                       Backend::OclHandTuned, Backend::OclGemmLib}) {
-        for (ConvAlgo a : {ConvAlgo::Direct, ConvAlgo::Im2colGemm,
-                           ConvAlgo::Winograd}) {
+        for (ConvAlgo a : {ConvAlgo::Direct, ConvAlgo::Im2colGemm}) {
             for (int t : {1, 2}) {
                 const LayerExecOverride point{b, a, t};
                 SCOPED_TRACE(what + " at " + backendName(b) + "/" +

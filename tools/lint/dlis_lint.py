@@ -50,10 +50,8 @@ expresses:
   dispatch-rules   No ``kernel() ==`` / ``stride() ==`` comparisons in
                    src/tune/ or src/analysis/: which kernel a layer runs
                    at a point is decided by the layer's own dispatch
-                   and read through Layer::resolveExec (geometry
-                   predicates such as kernels::winogradApplicable stay
-                   with the kernels) — never worked out again beside
-                   it, where it drifts.
+                   and read through Layer::resolveExec — never worked
+                   out again beside it, where it drifts.
 
 Suppress a finding with a same-line comment::
 
@@ -179,7 +177,7 @@ RULES = [
         "dispatch-rules",
         re.compile(r"((?:kernel|stride)\s*\(\s*\)\s*==)"),
         "{match} works out layer dispatch outside the layer; ask "
-        "Layer::resolveExec (or kernels::winogradApplicable)",
+        "Layer::resolveExec",
     ),
 ]
 
